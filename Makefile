@@ -33,16 +33,6 @@ lint:
 	    echo "lint: bare print() in benchmarks/ helper modules:"; \
 	    echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rn --include='*.py' \
-	    -e 'sharing import.*jaccard' -e 'sharing\.jaccard' \
-	    src/repro benchmarks examples \
-	    | grep -v '^src/repro/core/sharing\.py:' \
-	    | grep -v '^src/repro/match/' || true); \
-	if [ -n "$$bad" ]; then \
-	    echo "lint: deprecated sharing.jaccard used outside"; \
-	    echo "      repro.match (use repro.match.set_jaccard):"; \
-	    echo "$$bad"; exit 1; \
-	fi
 	@echo "lint: ok"
 
 check: test lint

@@ -1,4 +1,4 @@
-"""Brute-force vs sketch-accelerated matching wall-clock benchmark.
+"""Brute-force vs indexed matching wall-clock benchmark.
 
 Builds a ``--factor``-times-larger world from the real study (seeded
 clone/mutation synthesis, see :mod:`repro.match.synth`) and times the

@@ -31,8 +31,8 @@ Commands:
   latency histograms that shifted slow);
 - ``match``     the ``repro.match`` engine: ``build-index`` (construct
   the corpus + vendor similarity indexes, write the stats JSON),
-  ``query`` (exact near-match libraries for one fingerprint id, sketch
-  candidate pruning optional), ``stats`` (engine and index parameters);
+  ``query`` (the exact corpus match and exact near-match libraries for
+  one fingerprint id), ``stats`` (corpus and vendor index shapes);
 - ``ml``        learned fingerprint attribution (``repro.ml``):
   ``train`` the seeded pure-numpy naive-Bayes + logistic-regression
   bundle on the generator's ground-truth labels, ``eval`` it into a
@@ -40,8 +40,9 @@ Commands:
   labeled capture via ``--input``), ``predict`` the exact-match-
   unmatched 97.45% with per-fingerprint confidences;
 - ``verify``    differential conformance: ``record``/``check`` golden
-  baselines, run the execution-mode equivalence ``matrix`` (including
-  the ``sketch`` matching mode), evaluate the paper ``invariants``,
+  baselines, run the execution-mode equivalence ``matrix`` (serial,
+  parallel, cached, fault-injected, permuted trust stores, and the
+  fabric cluster backend), evaluate the paper ``invariants``,
   prove ``streaming`` == batch, digest-check the deterministic ``ml``
   eval report against its committed baseline;
 - ``sweep``     process-parallel multi-config campaigns: ``run`` a seed
@@ -391,21 +392,15 @@ def cmd_serve(args):
     return 0
 
 
-def _match_engine(args, study):
-    """The seeded :class:`~repro.match.MatchEngine` the flags select."""
-    from repro.match import MatchEngine
-    return MatchEngine.for_config(study.config, mode=args.mode)
-
-
 def cmd_match_build_index(args):
     from repro.ingest.incremental import fingerprint_id
+    from repro.match import shared_engine
     study, status = _study_or_status(args)
     if study is None:
         return status
-    engine = _match_engine(args, study)
     with obs.span("match.build_index"):
-        payload = engine.stats(dataset=study.dataset,
-                               corpus=study.corpus)
+        payload = shared_engine().stats(dataset=study.dataset,
+                                        corpus=study.corpus)
         payload["fingerprint_ids"] = {
             fingerprint_id(fp): [int(fp[0]), list(fp[1]), list(fp[2])]
             for fp in sorted(study.dataset.fingerprints())}
@@ -414,7 +409,7 @@ def cmd_match_build_index(args):
         handle.write("\n")
     args.artifacts.append(args.output)
     corpus_stats = payload["corpus"]
-    print(f"built {args.mode} match index: "
+    print(f"built match index: "
           f"{corpus_stats['entries']} corpus entries → "
           f"{corpus_stats['distinct_keys']} distinct keys "
           f"(dedup {corpus_stats['dedup_ratio']}x), "
@@ -425,6 +420,7 @@ def cmd_match_build_index(args):
 
 def cmd_match_query(args):
     from repro.ingest.incremental import fingerprint_id
+    from repro.match import shared_engine
     study, status = _study_or_status(args)
     if study is None:
         return status
@@ -436,12 +432,10 @@ def cmd_match_query(args):
               f"{args.fingerprint!r} (see `repro match build-index` "
               f"output for the id map)", file=sys.stderr)
         return 2
-    engine = _match_engine(args, study)
     with obs.span("match.query"):
-        exact = engine.corpus_index(study.corpus).match(*fp)
-        hits = engine.near_matches(fp, study.corpus,
-                                   threshold=args.threshold,
-                                   limit=args.limit)
+        exact = study.corpus.match(*fp)
+        hits = shared_engine().near_matches(
+            fp, study.corpus, threshold=args.threshold, limit=args.limit)
     version, suites, extensions = fp
     print(f"fingerprint {args.fingerprint}: TLS {int(version):#06x}, "
           f"{len(suites)} suites, {len(extensions)} extensions")
@@ -457,22 +451,17 @@ def cmd_match_query(args):
 
 
 def cmd_match_stats(args):
+    from repro.match import shared_engine
     study, status = _study_or_status(args)
     if study is None:
         return status
-    engine = _match_engine(args, study)
     with obs.span("match.stats"):
-        payload = engine.stats(dataset=study.dataset,
-                               corpus=study.corpus)
-    print(f"engine: mode={payload['mode']} seed={payload['seed']:#x} "
-          f"hashes={payload['num_hashes']} bands={payload['bands']}x"
-          f"{payload['rows_per_band']}")
+        payload = shared_engine().stats(dataset=study.dataset,
+                                        corpus=study.corpus)
     corpus_stats = payload["corpus"]
     print(f"corpus: {corpus_stats['entries']} entries, "
           f"{corpus_stats['distinct_keys']} distinct keys "
-          f"(dedup {corpus_stats['dedup_ratio']}x), "
-          f"{corpus_stats['prefix_buckets']} (version, "
-          f"suite[:{corpus_stats['suite_prefix']}]) buckets")
+          f"(dedup {corpus_stats['dedup_ratio']}x)")
     vendor_stats = payload["vendors"]
     print(f"vendors: {vendor_stats['items']} sets, "
           f"{vendor_stats['distinct_vectors']} distinct vectors, "
@@ -1202,10 +1191,6 @@ def build_parser():
         sub_parser = match_sub.add_parser(name, help=help_text)
         _add_config(sub_parser)
         _add_cache(sub_parser)
-        sub_parser.add_argument(
-            "--mode", choices=("exact", "sketch"), default="sketch",
-            help="matching engine mode (default %(default)s; results "
-                 "are identical, sketch prunes candidates)")
         _add_obs(sub_parser)
         sub_parser.set_defaults(func=func)
         return sub_parser
@@ -1229,7 +1214,7 @@ def build_parser():
                           help="max results (default %(default)s)")
     _add_match_command(
         "stats",
-        "engine parameters and corpus/vendor index statistics",
+        "corpus and vendor index statistics",
         cmd_match_stats)
 
     p_ml = sub.add_parser(

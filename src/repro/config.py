@@ -6,9 +6,9 @@ policy, and which major trust stores the validator unions — so a study is
 reproducible from its config alone.  It is hashable (all-frozen fields),
 which is what lets :func:`repro.study.get_study` memoize per config.
 
-Construction is config-first everywhere: the legacy bare-seed
-``get_study(seed=...)`` shim in :mod:`repro.study` is gone — it raises
-``TypeError`` with the ``StudyConfig(seed=...)`` migration spelling.
+Construction is config-first everywhere: :func:`repro.study.get_study`
+and :class:`repro.study.Study` take a config (or nothing, for the
+default), never a bare seed.
 """
 
 import hashlib

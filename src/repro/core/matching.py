@@ -6,15 +6,11 @@ many fingerprints match (23 of 903, 2.55%), how many distinct libraries
 they resolve to (16: 14 curl+OpenSSL, 2 Mbed TLS), and how many of those
 libraries were already unsupported in 2020 (14 of 16).
 
-The analysis itself now lives on :class:`repro.match.MatchEngine`
-(which adds the sketch-accelerated execution mode); this module keeps
-the :class:`MatchReport` result type and backwards-compatible free
-functions.  ``match_against_corpus`` is deprecated — call
-``MatchEngine.match_report`` (or ``repro.match.shared_engine()``)
-instead.
+The analysis itself lives on :class:`repro.match.MatchEngine`
+(``repro.match.shared_engine().match_report``); this module keeps the
+:class:`MatchReport` result type and the case-study helper.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 
@@ -57,24 +53,6 @@ class MatchReport:
     def matched_devices(self):
         """Total devices whose fingerprints matched a known library."""
         return sum(self.device_counts.get(fp, 0) for fp in self.matched)
-
-
-def match_against_corpus(dataset, corpus):
-    """Run the Section 4.1 analysis.  Deprecated.
-
-    Use :meth:`repro.match.MatchEngine.match_report` (or the
-    mode-aware process engine, ``repro.match.shared_engine()``); this
-    shim delegates there and will be removed in a future release.
-
-    Returns a :class:`MatchReport`.
-    """
-    warnings.warn(
-        "repro.core.matching.match_against_corpus is deprecated; use "
-        "repro.match.MatchEngine.match_report "
-        "(repro.match.shared_engine().match_report)",
-        DeprecationWarning, stacklevel=2)
-    from repro.match.engine import shared_engine
-    return shared_engine().match_report(dataset, corpus)
 
 
 def validate_case_study(dataset, corpus, vendor):

@@ -61,9 +61,8 @@ def _ml_attribution(resources):
                                resources["config"])
 
 #: Section 4 + Appendix B (client-side) analyses, in paper order.
-#: Matching/similarity nodes run on the process
-#: :class:`~repro.match.MatchEngine` — exact by default, pruned under
-#: ``engine_mode("sketch")``, digest-identical either way.
+#: Matching/similarity nodes run on the process-wide
+#: :class:`~repro.match.MatchEngine` (``shared_engine()``).
 CLIENT_ANALYSES = (
     AnalysisSpec(
         "matching", inputs=("dataset", "corpus"),

@@ -11,31 +11,14 @@ Two analyses explain why non-standard fingerprints recur across vendors:
   when talking to that server — reveal per-application TLS stacks; when
   the devices span multiple vendors, the application is a shared SDK.
 
-Both analyses now execute on :class:`repro.match.MatchEngine` (exact or
-sketch-accelerated, proven digest-identical); this module keeps the
-result types (:class:`ServerFingerprintTie`, :func:`similarity_bands`)
-and backwards-compatible free functions.  ``jaccard`` is deprecated —
-its non-deprecated home is :func:`repro.match.set_jaccard`.
+Both analyses execute on :class:`repro.match.MatchEngine`; this module
+keeps the result types (:class:`ServerFingerprintTie`,
+:func:`similarity_bands`) and free functions that delegate to the
+process engine.  Plain-set Jaccard lives at
+:func:`repro.match.set_jaccard`.
 """
 
-import warnings
 from dataclasses import dataclass
-
-
-def jaccard(set_a, set_b):
-    """Jaccard similarity of two sets (0 for two empty sets).  Deprecated.
-
-    Use :func:`repro.match.set_jaccard` (same contract, non-deprecated)
-    or :meth:`repro.match.FingerprintVector.jaccard` for the popcount
-    fast path; this shim delegates and will be removed in a future
-    release.
-    """
-    warnings.warn(
-        "repro.core.sharing.jaccard is deprecated; use "
-        "repro.match.set_jaccard (or FingerprintVector.jaccard)",
-        DeprecationWarning, stacklevel=2)
-    from repro.match.vector import set_jaccard
-    return set_jaccard(set_a, set_b)
 
 
 def vendor_similarity_pairs(dataset, threshold=0.2):
@@ -43,9 +26,8 @@ def vendor_similarity_pairs(dataset, threshold=0.2):
 
     Returns a list of ``(similarity, vendor_a, vendor_b)`` sorted by
     similarity, descending.  Delegates to the process
-    :class:`repro.match.MatchEngine` (mode-aware: exact by default,
-    candidate-pruned under ``engine_mode("sketch")`` — results are
-    byte-identical either way).
+    :class:`repro.match.MatchEngine` (inverted-index pruning, exact
+    rescoring).
     """
     from repro.match.engine import shared_engine
     return shared_engine().vendor_similarity_pairs(dataset,
@@ -93,8 +75,7 @@ def server_specific_fingerprints(dataset, corpus=None):
     Returns ``(fraction_of_snis_tied, ties)`` where ``ties`` covers ties
     involving devices of multiple vendors and at least two devices
     (Table 5's filtering), aggregated per {SLD, fingerprint}.  The
-    algorithm body lives on :class:`repro.match.MatchEngine` (the
-    corpus-match exclusion goes through the active mode's matcher).
+    algorithm body lives on :class:`repro.match.MatchEngine`.
     """
     from repro.match.engine import shared_engine
     return shared_engine().server_specific_fingerprints(dataset,

@@ -83,9 +83,9 @@ class FingerprintIndex(IncrementalAnalysis):
     Each first-seen fingerprint is also added to a live
     :class:`~repro.match.SimilarityIndex`, so :meth:`similar` answers
     "which known fingerprints look like this one" with exact
-    feature-set Jaccard over sketch-pruned candidates.  The similarity
-    index is derived state: snapshots and checkpoints are unchanged,
-    and :meth:`restore` rebuilds it from the restored index.
+    feature-set Jaccard over size-window-pruned candidates.  The
+    similarity index is derived state: snapshots and checkpoints are
+    unchanged, and :meth:`restore` rebuilds it from the restored index.
     """
 
     name = "fingerprint_index"

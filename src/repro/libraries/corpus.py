@@ -12,6 +12,11 @@ from repro.libraries import curl, mbedtls, openssl, wolfssl
 from repro.libraries.base import fingerprint_key, version_sort_key
 
 
+def _version_rank(fingerprint):
+    """Order entries of one key so the highest version ranks last."""
+    return fingerprint.library, version_sort_key(fingerprint.version)
+
+
 class LibraryCorpus:
     """Indexed collection of library fingerprints with exact matching."""
 
@@ -20,6 +25,10 @@ class LibraryCorpus:
         self._by_key = {}
         for fingerprint in self._fingerprints:
             self._by_key.setdefault(fingerprint.key(), []).append(fingerprint)
+        # Each key resolves to its highest version once, here, so every
+        # match() is a single dict lookup.
+        self._best_by_key = {key: max(entries, key=_version_rank)
+                             for key, entries in self._by_key.items()}
 
     def __len__(self):
         return len(self._fingerprints)
@@ -32,6 +41,10 @@ class LibraryCorpus:
         """Number of distinct {version, suites, extensions} keys."""
         return len(self._by_key)
 
+    def keys(self):
+        """The distinct {version, suites, extensions} keys."""
+        return list(self._by_key)
+
     def libraries(self):
         """Family names present in the corpus."""
         return sorted({fp.library for fp in self._fingerprints})
@@ -42,12 +55,8 @@ class LibraryCorpus:
         Returns the :class:`~repro.libraries.base.LibraryFingerprint` of
         the highest matching version, or None when nothing matches.
         """
-        key = fingerprint_key(tls_version, ciphersuites, extensions)
-        candidates = self._by_key.get(key)
-        if not candidates:
-            return None
-        return max(candidates,
-                   key=lambda fp: (fp.library, version_sort_key(fp.version)))
+        return self._best_by_key.get(
+            fingerprint_key(tls_version, ciphersuites, extensions))
 
     def match_all(self, tls_version, ciphersuites, extensions):
         """All corpus entries sharing a device fingerprint (may span versions)."""
@@ -64,9 +73,8 @@ class LibraryCorpus:
         seen = {}
         for fingerprint in self._fingerprints:
             current = seen.get(fingerprint.ciphersuites)
-            if current is None or (
-                    (fingerprint.library, version_sort_key(fingerprint.version))
-                    > (current.library, version_sort_key(current.version))):
+            if current is None or \
+                    _version_rank(fingerprint) > _version_rank(current):
                 seen[fingerprint.ciphersuites] = fingerprint
         return seen
 

@@ -1,30 +1,25 @@
-"""``repro.match`` — the sketch-accelerated matching core.
+"""``repro.match`` — the exact matching core.
 
 The unified home of every set-similarity and corpus-matching primitive
 the Section 4 analytics use.  Layering, bottom up:
 
 - :mod:`repro.match.vector` — bitset encoding (:class:`FeatureSpace`,
   :class:`FingerprintVector`) and the reference :func:`set_jaccard`;
-- :mod:`repro.match.sketch` — MinHash signatures and LSH banding
-  (:class:`SketchParams`, :class:`MinHasher`, :class:`LSHIndex`);
 - :mod:`repro.match.index` — :class:`SimilarityIndex` (exact queries
-  over pruned candidates) and :class:`CorpusIndex` (the library-corpus
-  accelerator);
-- :mod:`repro.match.engine` — :class:`MatchEngine`, the mode-aware
-  facade the legacy free functions in :mod:`repro.core.matching` and
-  :mod:`repro.core.sharing` now delegate to.
+  over inverted-index candidates) and :class:`CorpusIndex` (near-match
+  search over the library corpus's distinct keys);
+- :mod:`repro.match.engine` — :class:`MatchEngine`, the facade the free
+  functions in :mod:`repro.core.matching` and :mod:`repro.core.sharing`
+  delegate to through :func:`shared_engine`.
 
-Exactness is the package invariant: sketches prune candidates, never
-results.  Every query rescans its candidates with exact popcount
-Jaccard, so ``exact`` and ``sketch`` modes are digest-identical (proven
-per-node by ``repro verify matrix``).
+Exactness is the package invariant: indexes prune candidates, never
+results.  Every query rescores its candidates with exact popcount
+Jaccard, so each result equals what a brute-force scan returns (the
+test suite keeps those scans as oracles).
 """
 
-from repro.match.engine import (MatchEngine, active_mode, engine_mode,
-                                seed_for_config, set_default_mode,
-                                shared_engine)
-from repro.match.index import SUITE_PREFIX, CorpusIndex, SimilarityIndex
-from repro.match.sketch import LSHIndex, MinHasher, SketchParams
+from repro.match.engine import MatchEngine, shared_engine
+from repro.match.index import CorpusIndex, SimilarityIndex
 from repro.match.vector import (FeatureSpace, FingerprintVector,
                                 fingerprint_tokens, popcount,
                                 set_jaccard)
@@ -33,18 +28,10 @@ __all__ = [
     "CorpusIndex",
     "FeatureSpace",
     "FingerprintVector",
-    "LSHIndex",
     "MatchEngine",
-    "MinHasher",
-    "SUITE_PREFIX",
     "SimilarityIndex",
-    "SketchParams",
-    "active_mode",
-    "engine_mode",
     "fingerprint_tokens",
     "popcount",
-    "seed_for_config",
-    "set_default_mode",
     "set_jaccard",
     "shared_engine",
 ]

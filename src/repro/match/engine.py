@@ -1,105 +1,32 @@
-"""The matching engine: one facade, two proven-equivalent backends.
+"""The matching engine: one exact facade over the Section 4 analytics.
 
 :class:`MatchEngine` owns every Section 4 matching analytic — corpus
 matching (4.1), cross-vendor Jaccard similarity (4.4, Table 4), and
-shared server-specific fingerprint discovery (4.4, Table 5) — behind
-two execution modes:
+shared server-specific fingerprint discovery (4.4, Table 5) — on one
+exact path:
 
-- ``"exact"`` — the reference algorithms: per-fingerprint corpus dict
-  lookup, O(V^2) pairwise set Jaccard;
-- ``"sketch"`` — the accelerated path: :class:`CorpusIndex` resolved
-  keys, bitset popcount Jaccard, and inverted-index candidate pruning
-  with exact rescoring.
+- corpus matches resolve through ``LibraryCorpus.match``, which maps
+  each fingerprint key to its highest library version once, when the
+  corpus is built;
+- vendor pairs come from :meth:`SimilarityIndex.all_pairs` (element
+  inverted-index pruning, exact bitset rescoring);
+- near-matches come from :meth:`CorpusIndex.near_matches`.
 
-The two modes are *digest-identical by construction* (candidates are
-always rescored exactly; the float ratios divide the same integers) and
-*digest-identical by proof*: the ``sketch`` execution mode in
-:mod:`repro.verify.matrix` runs the full pipeline under each and
-asserts every analysis node's canonical digest agrees.
-
-Mode selection is ambient: free functions in :mod:`repro.core.matching`
-/ :mod:`repro.core.sharing` delegate to :func:`shared_engine`, which
-honours :func:`active_mode` — set process-wide with
-:func:`set_default_mode` or scoped with the :func:`engine_mode` context
-manager (what the equivalence matrix uses).
-
-Determinism contract: sketch seeds never influence results (exact
-rescoring), but signatures themselves are reproducible too —
-:meth:`MatchEngine.for_config` derives the MinHash seed from
-``StudyConfig.digest()``, so two processes running one config build
-byte-identical sketches.
+The free functions in :mod:`repro.core.matching` and
+:mod:`repro.core.sharing` delegate to :func:`shared_engine`, the one
+process-wide engine.  The brute-force algorithms these paths replace
+live on in the test suite as oracles.
 """
 
 import threading
 import weakref
-from contextlib import contextmanager
 
 from repro.core.matching import MatchReport
 from repro.match.index import CorpusIndex, SimilarityIndex
-from repro.match.sketch import SketchParams
-from repro.match.vector import set_jaccard
-
-#: the supported execution modes.
-MODES = ("exact", "sketch")
-
-#: MinHash seed used when no StudyConfig is in play.
-DEFAULT_SKETCH_SEED = 0x1077
-
-_mode_lock = threading.Lock()
-_default_mode = "exact"
-_shared_engines = {}
-
-
-def _check_mode(mode):
-    if mode not in MODES:
-        raise ValueError(f"unknown match mode {mode!r}; "
-                         f"expected one of {MODES}")
-    return mode
-
-
-def active_mode():
-    """The process-wide default matching mode."""
-    return _default_mode
-
-
-def set_default_mode(mode):
-    """Set the default mode; returns the previous one."""
-    global _default_mode
-    _check_mode(mode)
-    with _mode_lock:
-        previous = _default_mode
-        _default_mode = mode
-    return previous
-
-
-@contextmanager
-def engine_mode(mode):
-    """Scope the default matching mode (restores on exit)."""
-    previous = set_default_mode(mode)
-    try:
-        yield
-    finally:
-        set_default_mode(previous)
-
-
-def shared_engine(mode=None):
-    """The process-shared engine for a mode (default: active mode)."""
-    resolved = _check_mode(mode if mode is not None else active_mode())
-    with _mode_lock:
-        engine = _shared_engines.get(resolved)
-        if engine is None:
-            engine = _shared_engines[resolved] = \
-                MatchEngine(mode=resolved)
-    return engine
-
-
-def seed_for_config(config):
-    """The deterministic sketch seed a StudyConfig pins."""
-    return int(config.digest()[:16], 16)
 
 
 class MatchEngine:
-    """Facade over the matching analytics, exact or sketch-accelerated.
+    """Facade over the exact matching analytics.
 
     Engines are cheap to construct and safe to share: the expensive
     structures (corpus indexes, per-dataset similarity indexes) are
@@ -107,24 +34,10 @@ class MatchEngine:
     garbage-collected dataset releases its index.
     """
 
-    def __init__(self, mode="exact", seed=DEFAULT_SKETCH_SEED,
-                 params=None):
-        self.mode = _check_mode(mode)
-        self.seed = seed
-        self.params = params if params is not None else SketchParams()
+    def __init__(self):
         self._lock = threading.Lock()
         self._corpus_indexes = weakref.WeakKeyDictionary()
         self._vendor_indexes = weakref.WeakKeyDictionary()
-
-    @classmethod
-    def for_config(cls, config, mode="sketch", params=None):
-        """An engine whose sketch seed is pinned by the config digest."""
-        return cls(mode=mode, seed=seed_for_config(config),
-                   params=params)
-
-    def __repr__(self):
-        return (f"MatchEngine(mode={self.mode!r}, seed={self.seed:#x}, "
-                f"params={self.params})")
 
     # -- cached indexes -------------------------------------------------------
 
@@ -133,8 +46,7 @@ class MatchEngine:
         with self._lock:
             index = self._corpus_indexes.get(corpus)
             if index is None:
-                index = self._corpus_indexes[corpus] = CorpusIndex(
-                    corpus, params=self.params, seed=self.seed)
+                index = self._corpus_indexes[corpus] = CorpusIndex(corpus)
         return index
 
     def vendor_index(self, dataset):
@@ -142,29 +54,21 @@ class MatchEngine:
         with self._lock:
             index = self._vendor_indexes.get(dataset)
             if index is None:
-                index = SimilarityIndex(params=self.params,
-                                        seed=self.seed)
+                index = SimilarityIndex()
                 for vendor in dataset.vendor_names():
                     index.add(vendor,
                               dataset.vendor_fingerprints(vendor))
                 self._vendor_indexes[dataset] = index
         return index
 
-    def _matcher(self, corpus):
-        """The exact corpus matcher the mode selects."""
-        if self.mode == "sketch":
-            return self.corpus_index(corpus).match
-        return corpus.match
-
     # -- Section 4.1: corpus matching -----------------------------------------
 
     def match_report(self, dataset, corpus):
         """The Section 4.1 analysis (see :class:`MatchReport`)."""
-        matcher = self._matcher(corpus)
         fingerprints = dataset.fingerprints()
         report = MatchReport(total_fingerprints=len(fingerprints))
         for fp in fingerprints:
-            library = matcher(*fp)
+            library = corpus.match(*fp)
             if library is not None:
                 report.matched[fp] = library
                 report.device_counts[fp] = len(
@@ -173,10 +77,9 @@ class MatchEngine:
 
     def validate_case_study(self, dataset, corpus, vendor):
         """Matched library names for one vendor (Wyze/Enphase case)."""
-        matcher = self._matcher(corpus)
         matches = set()
         for fp in dataset.vendor_fingerprints(vendor):
-            library = matcher(*fp)
+            library = corpus.match(*fp)
             if library is not None:
                 matches.add(library.full_name)
         return sorted(matches)
@@ -184,8 +87,7 @@ class MatchEngine:
     def near_matches(self, fp, corpus, threshold=0.7, limit=10):
         """Libraries Jaccard-similar to a device fingerprint.
 
-        Mode-independent new capability (there is no legacy path): the
-        exact threshold search of :meth:`CorpusIndex.near_matches`.
+        The exact threshold search of :meth:`CorpusIndex.near_matches`.
         """
         return self.corpus_index(corpus).near_matches(
             fp, threshold=threshold, limit=limit)
@@ -196,32 +98,17 @@ class MatchEngine:
         """Table 4 — vendor pairs with Jaccard >= ``threshold``.
 
         Returns ``[(similarity, vendor_a, vendor_b), ...]`` sorted by
-        ``(-similarity, vendor_a, vendor_b)`` — byte-identical between
-        modes.
+        ``(-similarity, vendor_a, vendor_b)``.
         """
-        if self.mode == "sketch":
-            return self.vendor_index(dataset).all_pairs(threshold)
-        from itertools import combinations
-        vendors = dataset.vendor_names()
-        fingerprint_sets = {v: dataset.vendor_fingerprints(v)
-                            for v in vendors}
-        pairs = []
-        for vendor_a, vendor_b in combinations(vendors, 2):
-            similarity = set_jaccard(fingerprint_sets[vendor_a],
-                                     fingerprint_sets[vendor_b])
-            if similarity >= threshold:
-                pairs.append((similarity, vendor_a, vendor_b))
-        pairs.sort(key=lambda item: (-item[0], item[1], item[2]))
-        return pairs
+        return self.vendor_index(dataset).all_pairs(threshold)
 
     # -- Section 4.4: servers as a proxy for applications ---------------------
 
     def server_specific_fingerprints(self, dataset, corpus=None):
         """Table 5 — SNIs tied to server-specific fingerprints.
 
-        Same algorithm in both modes; the corpus-match exclusion of
-        known-library fingerprints goes through the mode's matcher.
-        Returns ``(fraction_of_snis_tied, ties)``.
+        Fingerprints that exactly match the corpus (known libraries)
+        are excluded.  Returns ``(fraction_of_snis_tied, ties)``.
         """
         from collections import defaultdict
 
@@ -229,7 +116,6 @@ class MatchEngine:
         from repro.core.sharing import ServerFingerprintTie
         from repro.x509.names import second_level_domain
 
-        matcher = self._matcher(corpus) if corpus is not None else None
         # For each (device, fp): the set of SLDs it was seen toward.
         slds_by_device_fp = defaultdict(set)
         for record in dataset.records:
@@ -245,7 +131,7 @@ class MatchEngine:
             total_snis += 1
             sld = second_level_domain(sni)
             for fp in dataset.sni_fingerprints(sni):
-                if matcher is not None and matcher(*fp) is not None:
+                if corpus is not None and corpus.match(*fp) is not None:
                     continue
                 devices = {d for d, f
                            in dataset.sni_device_fingerprints(sni)
@@ -281,16 +167,18 @@ class MatchEngine:
     # -- introspection --------------------------------------------------------
 
     def stats(self, dataset=None, corpus=None):
-        """Engine parameters plus stats of any built/buildable indexes."""
-        payload = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "num_hashes": self.params.num_hashes,
-            "bands": self.params.bands,
-            "rows_per_band": self.params.rows,
-        }
+        """Stats of the corpus and vendor indexes for the given inputs."""
+        payload = {}
         if corpus is not None:
             payload["corpus"] = self.corpus_index(corpus).stats()
         if dataset is not None:
             payload["vendors"] = self.vendor_index(dataset).stats()
         return payload
+
+
+_shared_engine = MatchEngine()
+
+
+def shared_engine():
+    """The process-wide engine the pipeline's free functions use."""
+    return _shared_engine

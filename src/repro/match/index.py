@@ -1,57 +1,40 @@
-"""Similarity and corpus indexes: candidate pruning + exact rescoring.
+"""Similarity and corpus indexes: inverted-index pruning + exact rescoring.
 
 Two index structures back the :class:`~repro.match.engine.MatchEngine`:
 
 - :class:`SimilarityIndex` — a set-similarity index over arbitrary
-  items.  Candidates come from two complementary generators: an
-  *element inverted index* (items sharing >= 1 feature), which is
-  provably complete for any Jaccard threshold > 0 (``J(A, B) >= t > 0``
-  implies a shared element), and MinHash/LSH *band buckets*, which
-  catch high-similarity pairs in O(signature).  Every candidate is
-  rescored through the exact bitset Jaccard, so query results are
-  exactly what a brute-force scan would return — the sketches only
-  decide how little work gets to the rescoring pass.
-- :class:`CorpusIndex` — the library-corpus accelerator: full
-  fingerprint keys resolve O(1) to the pre-computed highest matching
-  version (the paper's "highest version j" rule), an inverted
-  ``(tls_version, suite-prefix)`` index buckets the corpus for
-  prefiltering, and near-match queries run over the *distinct*
-  fingerprint keys (6,891 corpus entries collapse to a few dozen
-  distinct keys) instead of scanning every entry.
+  items.  Candidate pairs come from an *element inverted index* (items
+  sharing >= 1 feature), which is provably complete for any Jaccard
+  threshold > 0 (``J(A, B) >= t > 0`` implies a shared element).  Every
+  candidate is rescored through the exact bitset Jaccard, so results
+  are exactly what a brute-force scan would return — the index only
+  decides how little work reaches the rescoring pass.
+- :class:`CorpusIndex` — near-match search over a library corpus:
+  queries run over the *distinct* fingerprint keys (6,891 corpus
+  entries collapse to a few dozen distinct keys) instead of scanning
+  every entry.
 """
 
 from collections import defaultdict
 
-from repro.match.sketch import LSHIndex, MinHasher, SketchParams
 from repro.match.vector import (FeatureSpace, FingerprintVector,
                                 bits_from_positions,
                                 fingerprint_tokens)
 
-#: suite-prefix length of the corpus inverted index.
-SUITE_PREFIX = 8
-
 
 class SimilarityIndex:
-    """Exact set-similarity search with sketch-pruned candidates.
+    """Exact set-similarity search over an element inverted index.
 
     Items are added with :meth:`add` (any sortable, hashable ids).
-    Queries guarantee *exactness*: :meth:`query` and :meth:`all_pairs`
-    return precisely the items/pairs a brute-force exact Jaccard scan
-    would, in a deterministic order.  MinHash signatures are built
-    lazily — indexes that never touch the sketch API never pay for it.
+    :meth:`query` and :meth:`all_pairs` return precisely the items/pairs
+    a brute-force exact Jaccard scan would, in a deterministic order.
     """
 
-    def __init__(self, params=None, seed=0, space=None):
-        self.params = params if params is not None else SketchParams()
-        self.seed = seed
+    def __init__(self, space=None):
         self.space = space if space is not None else FeatureSpace()
         self._vectors = {}        # item id -> FingerprintVector
-        self._positions = {}      # item id -> sorted bit positions
         self._postings = defaultdict(list)  # bit position -> [ids]
         self._by_bits = defaultdict(list)   # bitset int -> [ids]
-        self._hasher = None
-        self._lsh = None
-        self._signatures = {}
 
     def __len__(self):
         return len(self._vectors)
@@ -73,72 +56,19 @@ class SimilarityIndex:
         vector = FingerprintVector(bits_from_positions(positions),
                                    self.space)
         self._vectors[item_id] = vector
-        self._positions[item_id] = tuple(positions)
         for position in positions:
             self._postings[position].append(item_id)
         self._by_bits[vector.bits].append(item_id)
-        if self._hasher is not None:
-            signature = self._hasher.signature(positions)
-            self._signatures[item_id] = signature
-            self._lsh.add(item_id, signature)
         return vector
 
-    # -- sketches (lazy) ------------------------------------------------------
-
-    def _ensure_sketches(self):
-        if self._hasher is None:
-            self._hasher = MinHasher(self.params, seed=self.seed)
-            self._lsh = LSHIndex(self.params)
-            for item_id, positions in self._positions.items():
-                signature = self._hasher.signature(positions)
-                self._signatures[item_id] = signature
-                self._lsh.add(item_id, signature)
-
-    def signature(self, item_id):
-        self._ensure_sketches()
-        return self._signatures[item_id]
-
-    def estimate(self, item_a, item_b):
-        """Sketch-estimated Jaccard between two indexed items."""
-        self._ensure_sketches()
-        return self._hasher.estimate(self._signatures[item_a],
-                                     self._signatures[item_b])
-
-    def lsh_candidates(self, tokens):
-        """Items sharing >= 1 LSH band bucket with the token set."""
-        self._ensure_sketches()
-        positions = self.space.positions(tokens)
-        return self._lsh.candidates(self._hasher.signature(positions))
-
-    # -- candidate generation -------------------------------------------------
-
-    def element_candidates(self, tokens):
-        """Items sharing >= 1 feature — complete for any threshold > 0."""
-        found = set()
-        for position in self.space.positions(tokens):
-            found.update(self._postings.get(position, ()))
-        return found
-
-    def candidate_pairs(self):
-        """The pruned pair universe: element pairs ∪ LSH band pairs.
-
-        Contract (fuzz-tested): a superset of every pair with exact
-        Jaccard >= any threshold > 0, because two sets with positive
-        Jaccard share an element and therefore a posting list.
-        """
-        return self._element_pairs() | self._lsh_pairs()
-
     def _element_pairs(self):
+        """Every ``(a, b)`` pair (a < b) sharing at least one posting."""
         from itertools import combinations
         pairs = set()
         for posting in self._postings.values():
             if len(posting) > 1:
                 pairs.update(combinations(sorted(posting), 2))
         return pairs
-
-    def _lsh_pairs(self):
-        self._ensure_sketches()
-        return self._lsh.candidate_pairs()
 
     # -- exact queries --------------------------------------------------------
 
@@ -182,9 +112,6 @@ class SimilarityIndex:
         """
         results = []
         if threshold > 0:
-            # Element pairs alone are complete for t > 0; folding in
-            # the LSH band pairs (candidate_pairs) would only add
-            # sketch-build cost without changing the result.
             for item_a, item_b in self._element_pairs():
                 similarity = self._vectors[item_a].jaccard(
                     self._vectors[item_b])
@@ -203,82 +130,39 @@ class SimilarityIndex:
 
     def stats(self):
         postings = [len(ids) for ids in self._postings.values()]
-        payload = {
+        return {
             "items": len(self._vectors),
             "distinct_vectors": len(self._by_bits),
             "feature_space": len(self.space),
-            "num_hashes": self.params.num_hashes,
-            "bands": self.params.bands,
-            "rows_per_band": self.params.rows,
-            "seed": self.seed,
             "max_posting": max(postings) if postings else 0,
             "candidate_pairs": len(self._element_pairs()),
             "total_pairs": len(self._vectors)
             * (len(self._vectors) - 1) // 2,
         }
-        if self._lsh is not None:
-            payload["lsh"] = self._lsh.bucket_stats()
-        return payload
 
 
 class CorpusIndex:
-    """The library-corpus matcher: O(1) exact, pruned near-match.
+    """Exact near-match search over a library corpus's distinct keys.
 
-    Wraps a :class:`~repro.libraries.corpus.LibraryCorpus` with:
-
-    - ``_best_by_key``: every distinct fingerprint key resolved *once*
-      to its highest matching library version (identical semantics to
-      ``LibraryCorpus.match``, amortized over all lookups);
-    - an inverted index from ``(tls_version, suites[:SUITE_PREFIX])``
-      to the distinct keys behind that prefix;
-    - a :class:`SimilarityIndex` over distinct keys for exact
-      threshold-Jaccard near-matching (the Active TLS Stack
-      Fingerprinting "feature match" direction).
+    A :class:`SimilarityIndex` over the corpus's distinct fingerprint
+    keys answers threshold-Jaccard near-match queries (the Active TLS
+    Stack Fingerprinting "feature match" direction); each hit is
+    reported as its key's highest-version entry, the same entry
+    ``LibraryCorpus.match`` returns for that key.
     """
 
-    def __init__(self, corpus, params=None, seed=0):
-        from repro.libraries.base import version_sort_key
+    def __init__(self, corpus):
         self.corpus = corpus
-        self._entry_count = len(corpus)
-        self._best_by_key = {}
-        self._entries_by_key = defaultdict(list)
-        self._prefix_index = defaultdict(list)
-        for entry in corpus:
-            self._entries_by_key[entry.key()].append(entry)
-        for key, entries in self._entries_by_key.items():
-            self._best_by_key[key] = max(
-                entries, key=lambda fp: (fp.library,
-                                         version_sort_key(fp.version)))
-            version, suites, _extensions = key
-            self._prefix_index[(version,
-                                suites[:SUITE_PREFIX])].append(key)
-        for keys in self._prefix_index.values():
-            keys.sort()
-        self.similarity = SimilarityIndex(params=params, seed=seed)
-        for key in sorted(self._best_by_key):
+        self.similarity = SimilarityIndex()
+        for key in sorted(corpus.keys()):
             self.similarity.add(key, fingerprint_tokens(key))
 
     def __len__(self):
-        return self._entry_count
+        return len(self.corpus)
 
     @property
     def distinct_count(self):
-        return len(self._best_by_key)
-
-    def match(self, tls_version, ciphersuites, extensions):
-        """Exact match — same result as ``LibraryCorpus.match``."""
-        from repro.libraries.base import fingerprint_key
-        return self._best_by_key.get(
-            fingerprint_key(tls_version, ciphersuites, extensions))
-
-    def entries(self, key):
-        """Every corpus entry (across versions) behind one key."""
-        return list(self._entries_by_key.get(key, ()))
-
-    def prefix_candidates(self, tls_version, ciphersuites):
-        """Distinct keys sharing the (version, suite-prefix) bucket."""
-        return list(self._prefix_index.get(
-            (int(tls_version), tuple(ciphersuites)[:SUITE_PREFIX]), ()))
+        return len(self.similarity)
 
     def near_matches(self, fp, threshold=0.7, limit=10):
         """Libraries whose fingerprint is Jaccard-similar to ``fp``.
@@ -290,16 +174,14 @@ class CorpusIndex:
         """
         hits = self.similarity.query(fingerprint_tokens(fp), threshold,
                                      limit=limit)
-        return [(similarity, self._best_by_key[key])
+        return [(similarity, self.corpus.match(*key))
                 for similarity, key in hits]
 
     def stats(self):
         return {
-            "entries": self._entry_count,
+            "entries": len(self.corpus),
             "distinct_keys": self.distinct_count,
-            "dedup_ratio": round(self._entry_count
+            "dedup_ratio": round(len(self.corpus)
                                  / max(1, self.distinct_count), 2),
-            "prefix_buckets": len(self._prefix_index),
-            "suite_prefix": SUITE_PREFIX,
             "similarity": self.similarity.stats(),
         }

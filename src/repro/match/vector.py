@@ -12,15 +12,13 @@ and a popcount, an order of magnitude faster and allocation-free.
 - :class:`FingerprintVector` wraps the encoded int with the exact set
   operations the analytics need (`intersection_count`, `union_count`,
   `jaccard`);
-- :func:`set_jaccard` is the reference implementation on plain sets —
-  the non-deprecated home of what ``repro.core.sharing.jaccard`` used
-  to compute.
+- :func:`set_jaccard` is the reference implementation on plain sets.
 
-The Jaccard contract (pinned by tests, shared with the legacy
-``sharing.jaccard``): two empty sets → ``0.0``; one empty set → ``0.0``;
-``jaccard(s, s) == 1.0`` for non-empty ``s``; symmetric; bounded in
-``[0, 1]``.  Popcounts and set cardinalities are the same integers, so
-the float ratios are bit-identical between the two implementations.
+The Jaccard contract (pinned by tests): two empty sets → ``0.0``; one
+empty set → ``0.0``; ``jaccard(s, s) == 1.0`` for non-empty ``s``;
+symmetric; bounded in ``[0, 1]``.  Popcounts and set cardinalities are
+the same integers, so the float ratios are bit-identical between the
+two implementations.
 
 Everything here is stdlib-only (``int.bit_count`` on Python >= 3.10,
 with a ``bin().count`` fallback for 3.9) — no numpy.
@@ -109,9 +107,6 @@ class FeatureSpace:
             tokens = set(tokens)
         position = self.position
         return sorted([position(token) for token in tokens])
-
-    def token_at(self, position):
-        return self._tokens[position]
 
     def encode(self, tokens):
         """The bitset int for a token set."""

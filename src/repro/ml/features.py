@@ -20,8 +20,9 @@ Hashing uses SHA-256 over ``"{seed}|{token}"`` — never Python's
 ``hash()`` — so the column a token lands in is a pure function of the
 token and the extractor seed: stable across processes, platforms, and
 ``PYTHONHASHSEED``.  The seed itself derives from
-:meth:`repro.config.StudyConfig.digest` via :func:`feature_seed`, which
-is what makes the whole train/eval pipeline conformance-checkable.
+:meth:`repro.config.StudyConfig.digest` of the :func:`training_config`
+via :func:`feature_seed`, which is what makes the whole train/eval
+pipeline conformance-checkable.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ except ImportError as exc:  # pragma: no cover - numpy is a CI dep
         "repro.ml requires numpy (listed in requirements-ci.txt); "
         "the rest of the package stays stdlib-only") from exc
 
+from repro.config import StudyConfig
 from repro.tlslib.grease import contains_grease, strip_grease
 
 #: Default hashed feature-space width (columns in the design matrix).
@@ -42,15 +44,27 @@ DEFAULT_WIDTH = 1024
 SUITE_PREFIX = 4
 
 
+def training_config(config):
+    """The config the learned attribution is a function of.
+
+    Training and eval read only the capture, the corpus and the world's
+    ground truth, which the seed alone determines.  Probe-side knobs
+    (concurrency, retry budget, trust stores, vantages) therefore map
+    to the seed's default config: they move neither a feature index nor
+    the model's identity.
+    """
+    return StudyConfig(seed=config.seed)
+
+
 def feature_seed(config):
     """The extractor/split seed derived from a config's digest.
 
-    Taking the first 16 hex digits of :meth:`StudyConfig.digest` ties
-    every hashed feature index (and the stratified split) to the exact
-    study configuration, which is what makes two runs of the same
-    config produce byte-identical eval reports.
+    Taking the first 16 hex digits of the :func:`training_config`
+    digest ties every hashed feature index (and the stratified split)
+    to the study seed, which is what makes two runs of the same config
+    produce byte-identical eval reports.
     """
-    return int(config.digest()[:16], 16)
+    return int(training_config(config).digest()[:16], 16)
 
 
 def fingerprint_tokens(fp):

@@ -35,7 +35,7 @@ from repro import obs
 from repro.ingest.incremental import fingerprint_id
 from repro.ml.data import (TARGETS, labeled_examples, stratified_split)
 from repro.ml.features import (DEFAULT_WIDTH, FeatureExtractor,
-                               feature_seed)
+                               feature_seed, training_config)
 from repro.ml.models import LogisticOVR, MultinomialNB
 from repro.schema import versioned
 from repro.verify.canonical import canonicalize
@@ -200,7 +200,7 @@ def train_attribution(dataset, corpus, world, config, params=None):
         span.incr("iters", params.iters)
     return AttributionModel(
         params=params, extractor=extractor, classes=classes, nb=nb,
-        lr=lr, artifact_digest=config.artifact_digest(),
+        lr=lr, artifact_digest=training_config(config).artifact_digest(),
         counts={"labeled": len(examples), "train": len(train),
                 "test": len(test)})
 
@@ -305,7 +305,7 @@ def evaluate_model(model, dataset, corpus, world, config,
     return versioned({
         "kind": "ml_eval",
         "target": params.target,
-        "artifact_digest": config.artifact_digest(),
+        "artifact_digest": training_config(config).artifact_digest(),
         "model_artifact_digest": model.artifact_digest,
         "feature_seed": f"{seed:016x}",
         "params": params.to_json(),
@@ -415,9 +415,9 @@ _EVAL_MEMO = {}
 
 
 def evaluate_components(dataset, corpus, world, config, params=None):
-    """Train + eval in one call, memoized per config artifact digest."""
+    """Train + eval in one call, memoized per training-config digest."""
     params = params or MLParams()
-    key = (config.artifact_digest(), params)
+    key = (training_config(config).artifact_digest(), params)
     cached = _EVAL_MEMO.get(key)
     if cached is not None:
         return cached

@@ -13,10 +13,9 @@ A study may also carry a persistent
 are then read from / written to the on-disk cache, so a fresh process
 with a warm cache skips world generation and probing entirely.
 
-The constructor is config-first.  The legacy bare-seed spellings —
-``Study(seed=...)``, ``get_study(7)``, ``get_study(seed=7)`` — are
-gone: they raise :class:`TypeError` with the exact migration hint; pass
-a :class:`StudyConfig` (or nothing, for the default config).
+The constructor is config-first: pass a :class:`StudyConfig` (or
+nothing, for the default config).  Anything else — such as a bare seed,
+``get_study(7)`` — raises :class:`TypeError`.
 """
 
 from functools import lru_cache
@@ -49,31 +48,25 @@ def _shared_corpus():
     return build_default_corpus()
 
 
-def _promote_seed(config, seed, caller):
-    """The config-first enforcement shared by Study and get_study.
+def _config_or_default(config, caller):
+    """``config`` itself, or the default config for ``None``.
 
-    The bare-seed shim went through its deprecation cycle
-    (DeprecationWarning since the config-first PR); it now fails loudly
-    with the migration spelling instead of silently promoting.
+    Anything but a :class:`StudyConfig` fails here with a
+    :class:`TypeError`, not as an ``AttributeError`` deep in a build.
     """
-    if seed is not None:
-        raise TypeError(
-            f"{caller}(seed={seed!r}) was removed; pass "
-            f"{caller}(StudyConfig(seed={seed!r})) instead")
     if config is None:
         return StudyConfig(seed=DEFAULT_SEED)
-    if isinstance(config, int):
-        raise TypeError(
-            f"{caller}({config!r}) was removed; pass "
-            f"{caller}(StudyConfig(seed={config!r})) instead")
+    if not isinstance(config, StudyConfig):
+        raise TypeError(f"{caller}() takes a StudyConfig, not "
+                        f"{type(config).__name__}")
     return config
 
 
 class Study:
     """Lazily-built handles to every artifact of one study run."""
 
-    def __init__(self, config=None, seed=None, store=None):
-        self.config = _promote_seed(config, seed, "Study")
+    def __init__(self, config=None, store=None):
+        self.config = _config_or_default(config, "Study")
         self.seed = self.config.seed
         self.store = store
         self._world = None
@@ -208,12 +201,11 @@ def _study_for_config(config):
     return Study(config=config)
 
 
-def get_study(config=None, seed=None):
+def get_study(config=None):
     """The memoized study context for a config.
 
     Config-first: pass a :class:`StudyConfig` (or nothing for the
-    default).  The legacy bare-seed spellings — ``get_study(seed=7)``
-    and positional ``get_study(7)`` — raise :class:`TypeError` with the
-    migration hint.  Equal configs share one :class:`Study`.
+    default); anything else raises :class:`TypeError`.  Equal configs
+    share one :class:`Study`.
     """
-    return _study_for_config(_promote_seed(config, seed, "get_study"))
+    return _study_for_config(_config_or_default(config, "get_study"))

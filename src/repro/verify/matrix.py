@@ -44,10 +44,6 @@ class ExecutionMode:
             injector's ``max_faulty_attempts``).
         trust_stores: trust-store selection spelling (any permutation
             must produce identical artifacts).
-        match_mode: :mod:`repro.match` engine mode the pipeline runs
-            under (``"exact"`` or ``"sketch"``) — the proof obligation
-            that sketch-pruned candidate generation never changes a
-            result.
         backend: ``"inline"`` runs the pipeline in this process;
             ``"cluster"`` runs it as a one-unit campaign through a real
             :mod:`repro.fabric` coordinator + HTTP server + fabric
@@ -61,7 +57,6 @@ class ExecutionMode:
     fault_rates: tuple = ()   # of (rate name, value) pairs; frozen-able
     retries: int = None
     trust_stores: tuple = None
-    match_mode: str = "exact"
     backend: str = "inline"
 
 
@@ -78,7 +73,6 @@ def default_modes(parallel_jobs=4):
                       retries=4),
         ExecutionMode("stores-permuted",
                       trust_stores=tuple(reversed(MAJOR_STORES))),
-        ExecutionMode("sketch", match_mode="sketch"),
         ExecutionMode("cluster", backend="cluster"),
     )
 
@@ -237,24 +231,20 @@ class EquivalenceMatrix:
 
     def run_mode(self, mode, workdir):
         """Execute one mode; returns its :class:`ModeResult`."""
-        from repro.match import engine_mode
         config = self._mode_config(mode)
         if mode.backend == "cluster":
             return self._run_cluster_mode(mode, config, workdir)
         store = self._mode_store(mode, f"{workdir}/{mode.name}")
-        with engine_mode(mode.match_mode):
-            if mode.cache == "warm":
-                # Populate, then measure the all-hits run with fresh
-                # state.
-                warmup = self._mode_study(mode,
-                                          config).attach_store(store)
-                run_full_study(warmup, jobs=mode.jobs)
-            study = self._mode_study(mode, config).attach_store(store)
-            digests = {}
-            run_full_study(
-                study, jobs=mode.jobs,
-                node_observer=lambda stage, packed:
-                    digests.__setitem__(stage, digest(packed)))
+        if mode.cache == "warm":
+            # Populate, then measure the all-hits run with fresh state.
+            warmup = self._mode_study(mode, config).attach_store(store)
+            run_full_study(warmup, jobs=mode.jobs)
+        study = self._mode_study(mode, config).attach_store(store)
+        digests = {}
+        run_full_study(
+            study, jobs=mode.jobs,
+            node_observer=lambda stage, packed:
+                digests.__setitem__(stage, digest(packed)))
         return ModeResult(mode=mode, node_digests=digests)
 
     # -- the grid -------------------------------------------------------------

@@ -289,21 +289,30 @@ def _read_tlv(data, offset):
     return tag, data[offset:offset + length], offset + length
 
 
+#: deepest nesting of constructed values the decoder accepts.  Real
+#: certificates nest 6 deep; the cap turns hostile nesting into a
+#: DERDecodeError before it can exhaust the interpreter stack.
+MAX_DEPTH = 32
+
+
 def decode(data):
     """Decode a single DER value (recursively), rejecting trailing bytes."""
-    value, end = _decode_at(data, 0)
+    value, end = _decode_at(data, 0, 0)
     if end != len(data):
         raise DERDecodeError(f"{len(data) - end} trailing bytes after DER value")
     return value
 
 
-def _decode_at(data, offset):
+def _decode_at(data, offset, depth):
     tag, content, end = _read_tlv(data, offset)
     children = ()
     if tag & Tag.CONSTRUCTED:
+        if depth >= MAX_DEPTH:
+            raise DERDecodeError(
+                f"constructed values nested deeper than {MAX_DEPTH}")
         kids, pos = [], 0
         while pos < len(content):
-            child, pos = _decode_at(content, pos)
+            child, pos = _decode_at(content, pos, depth + 1)
             kids.append(child)
         children = tuple(kids)
     return ASN1Value(tag=tag, content=content, children=children), end
@@ -313,6 +322,6 @@ def decode_all(data):
     """Decode a concatenation of DER values into a list."""
     values, offset = [], 0
     while offset < len(data):
-        value, offset = _decode_at(data, offset)
+        value, offset = _decode_at(data, offset, 0)
         values.append(value)
     return values

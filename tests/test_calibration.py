@@ -7,9 +7,10 @@ exactly (population sizes).
 
 import pytest
 
-from repro.core import customization, matching, security, sharing
+from repro.core import customization, security, sharing
 from repro.core.issuers import issuer_report
 from repro.core.tables import percent
+from repro.match import shared_engine
 
 
 class TestPopulations:
@@ -38,19 +39,19 @@ class TestClientSideShape:
         assert 800 <= dataset.fingerprint_count <= 1010
 
     def test_match_rate_near_2_55_percent(self, dataset, corpus):
-        report = matching.match_against_corpus(dataset, corpus)
+        report = shared_engine().match_report(dataset, corpus)
         assert 0.012 <= report.matched_fraction <= 0.042
         # ~98% of fingerprints do NOT match known libraries.
         assert report.matched_fraction < 0.05
 
     def test_matched_libraries_mostly_unsupported(self, dataset, corpus):
-        report = matching.match_against_corpus(dataset, corpus)
+        report = shared_engine().match_report(dataset, corpus)
         libraries = report.matched_libraries()
         unsupported = report.unsupported_libraries()
         assert len(unsupported) >= 0.8 * len(libraries)
 
     def test_matched_families(self, dataset, corpus):
-        report = matching.match_against_corpus(dataset, corpus)
+        report = shared_engine().match_report(dataset, corpus)
         families = report.libraries_by_family()
         # The paper's matches resolve to curl+OpenSSL and Mbed TLS.
         assert families.get("curl+OpenSSL", 0) >= 10

@@ -87,24 +87,18 @@ class TestCommands:
 
 
 class TestMatchCommands:
-    def test_mode_default_is_sketch(self):
-        args = build_parser().parse_args(["match", "stats"])
-        assert args.mode == "sketch"
-
     def test_build_index_writes_json(self, tmp_path, study, capsys):
         out = tmp_path / "index.json"
         assert main(["match", "build-index", "-o", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert {"mode", "seed", "corpus", "vendors",
-                "fingerprint_ids"} <= set(payload)
-        assert payload["mode"] == "sketch"
+        assert {"corpus", "vendors", "fingerprint_ids"} <= set(payload)
         assert payload["corpus"]["entries"] >= \
             payload["corpus"]["distinct_keys"]
         assert payload["corpus"]["dedup_ratio"] > 1.0
         assert len(payload["fingerprint_ids"]) == \
             len(study.dataset.fingerprints())
         text = capsys.readouterr().out
-        assert "built sketch match index" in text
+        assert "built match index" in text
 
     def test_query_known_fingerprint(self, tmp_path, study, capsys):
         from repro.ingest.incremental import fingerprint_id
@@ -122,19 +116,8 @@ class TestMatchCommands:
         err = capsys.readouterr().err
         assert "unknown fingerprint id" in err
 
-    def test_query_modes_agree(self, study, capsys):
-        from repro.ingest.incremental import fingerprint_id
-        fp = sorted(study.dataset.fingerprints())[5]
-        fp_id = fingerprint_id(fp)
-        assert main(["match", "query", fp_id, "--mode", "sketch"]) == 0
-        sketch = capsys.readouterr().out
-        assert main(["match", "query", fp_id, "--mode", "exact"]) == 0
-        exact = capsys.readouterr().out
-        assert sketch == exact
-
     def test_stats(self, study, capsys):
         assert main(["match", "stats"]) == 0
         text = capsys.readouterr().out
-        assert "engine: mode=sketch" in text
         assert "corpus:" in text
         assert "vendors:" in text

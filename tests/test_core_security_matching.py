@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import matching, security
 from repro.inspector.dataset import InspectorDataset
+from repro.match import shared_engine
 from repro.tlslib.ciphersuites import SecurityLevel
 from repro.tlslib.versions import TLSVersion
 from tests.conftest import make_record
@@ -66,7 +67,7 @@ class TestVulnerabilityReport:
 
 class TestMatching:
     def test_mini_dataset_no_matches(self, mini_dataset, corpus):
-        report = matching.match_against_corpus(mini_dataset, corpus)
+        report = shared_engine().match_report(mini_dataset, corpus)
         assert report.matched_count == 0
         assert report.matched_fraction == 0.0
 
@@ -78,7 +79,7 @@ class TestMatching:
                              suites=library.ciphersuites,
                              extensions=library.extensions)
         ds = InspectorDataset([record])
-        report = matching.match_against_corpus(ds, corpus)
+        report = shared_engine().match_report(ds, corpus)
         assert report.matched_count == 1
         assert report.matched_devices() == 1
         [library_match] = report.matched.values()
@@ -91,7 +92,7 @@ class TestMatching:
         assert any("1.0.2u" in name for name in matches)
 
     def test_full_dataset_unsupported_dominates(self, dataset, corpus):
-        report = matching.match_against_corpus(dataset, corpus)
+        report = shared_engine().match_report(dataset, corpus)
         assert report.matched_count > 0
         assert len(report.unsupported_libraries()) >= \
             0.8 * len(report.matched_libraries())

@@ -4,26 +4,27 @@ import pytest
 
 from repro.core import semantics, sharing
 from repro.inspector.dataset import InspectorDataset
+from repro.match import set_jaccard
 from tests.conftest import make_record
 
 
 class TestJaccard:
     def test_identity(self):
-        assert sharing.jaccard({1, 2}, {1, 2}) == 1.0
+        assert set_jaccard({1, 2}, {1, 2}) == 1.0
 
     def test_disjoint(self):
-        assert sharing.jaccard({1}, {2}) == 0.0
+        assert set_jaccard({1}, {2}) == 0.0
 
     def test_subset_penalized(self):
         # The paper's rationale: a small subset of a big set is dissimilar.
-        assert sharing.jaccard({1}, {1, 2, 3, 4}) == pytest.approx(0.25)
+        assert set_jaccard({1}, {1, 2, 3, 4}) == pytest.approx(0.25)
 
     def test_empty_sets(self):
-        assert sharing.jaccard(set(), set()) == 0.0
+        assert set_jaccard(set(), set()) == 0.0
 
     def test_symmetry(self):
         a, b = {1, 2, 3}, {2, 3, 4, 5}
-        assert sharing.jaccard(a, b) == sharing.jaccard(b, a)
+        assert set_jaccard(a, b) == set_jaccard(b, a)
 
     def test_pairs_thresholded(self, mini_dataset):
         pairs = sharing.vendor_similarity_pairs(mini_dataset, threshold=0.2)

@@ -1,17 +1,15 @@
-"""The ``repro.match`` core: bitsets, sketches, indexes, and the engine.
+"""The ``repro.match`` core: bitsets, indexes, and the engine.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 - the Jaccard contract (bounds, symmetry, identity, empty-set rules)
-  holds identically for the deprecated ``sharing.jaccard`` shim, the
-  non-deprecated ``set_jaccard``, and the popcount
+  holds identically for the reference ``set_jaccard`` and the popcount
   ``FingerprintVector.jaccard``;
-- exactness: seeded fuzz proves sketch candidate generation is a
-  *superset* of every pair at or above any positive threshold, and that
-  ``SimilarityIndex.query``/``all_pairs`` return exactly what a
-  brute-force scan returns;
-- engine equivalence: ``exact`` and ``sketch`` modes produce
-  byte-identical (canonical-digest-equal) analysis results.
+- exactness: every indexed path returns exactly what a brute-force
+  oracle in this file returns — seeded fuzz for
+  ``SimilarityIndex.query``/``all_pairs``, the linear highest-version
+  scan for ``LibraryCorpus.match``, and all-pairs set Jaccard for
+  ``MatchEngine.vendor_similarity_pairs``.
 """
 
 import random
@@ -19,12 +17,11 @@ from itertools import combinations
 
 import pytest
 
-from repro.core import matching, sharing
+from repro.core import sharing
+from repro.libraries.base import version_sort_key
 from repro.match import (CorpusIndex, FeatureSpace, FingerprintVector,
-                         MatchEngine, MinHasher, SimilarityIndex,
-                         SketchParams, active_mode, engine_mode,
-                         fingerprint_tokens, seed_for_config,
-                         set_default_mode, set_jaccard, shared_engine)
+                         MatchEngine, SimilarityIndex,
+                         fingerprint_tokens, set_jaccard, shared_engine)
 from repro.match.synth import (random_universe, scaled_fingerprints,
                                scaled_vendor_sets)
 from repro.match.vector import _popcount_compat, popcount
@@ -38,6 +35,48 @@ def brute_force_pairs(sets, threshold):
                if set_jaccard(sets[a], sets[b]) >= threshold]
     results.sort(key=lambda row: (-row[0], row[1], row[2]))
     return results
+
+
+class LinearCorpus:
+    """Reference corpus matcher: a linear highest-version scan.
+
+    Each distinct query scans every corpus entry once (answers are
+    memoized, so oracles over thousands of repeat queries stay cheap).
+    """
+
+    def __init__(self, corpus):
+        self._entries = [(entry.key(), entry) for entry in corpus]
+        self._answers = {}
+
+    def match(self, tls_version, ciphersuites, extensions):
+        key = (int(tls_version), tuple(ciphersuites), tuple(extensions))
+        if key not in self._answers:
+            best = None
+            for entry_key, entry in self._entries:
+                if entry_key == key and (best is None or (
+                        entry.library, version_sort_key(entry.version))
+                        > (best.library, version_sort_key(best.version))):
+                    best = entry
+            self._answers[key] = best
+        return self._answers[key]
+
+
+@pytest.fixture(scope="module")
+def linear_corpus(corpus):
+    return LinearCorpus(corpus)
+
+
+class VendorWorld:
+    """The dataset slice ``vendor_similarity_pairs`` reads, from a dict."""
+
+    def __init__(self, sets):
+        self._sets = sets
+
+    def vendor_names(self):
+        return sorted(self._sets)
+
+    def vendor_fingerprints(self, vendor):
+        return self._sets[vendor]
 
 
 class TestPopcountAndVector:
@@ -85,11 +124,6 @@ class TestPopcountAndVector:
             va.jaccard(vb)
 
 
-def _shim_jaccard(a, b):
-    with pytest.warns(DeprecationWarning):
-        return sharing.jaccard(a, b)
-
-
 def _vector_jaccard(a, b):
     space = FeatureSpace()
     return FingerprintVector.from_tokens(a, space).jaccard(
@@ -99,7 +133,6 @@ def _vector_jaccard(a, b):
 #: every implementation bound to the one pinned Jaccard contract.
 JACCARD_IMPLS = [
     pytest.param(set_jaccard, id="set_jaccard"),
-    pytest.param(_shim_jaccard, id="sharing.jaccard"),
     pytest.param(_vector_jaccard, id="FingerprintVector"),
 ]
 
@@ -133,55 +166,20 @@ class TestJaccardContract:
             assert impl(a, b) == set_jaccard(a, b)
 
 
-class TestSketch:
-    def test_params_validation(self):
-        with pytest.raises(ValueError, match="divide"):
-            SketchParams(num_hashes=64, bands=13)
-        with pytest.raises(ValueError, match=">= 1"):
-            SketchParams(num_hashes=0)
-        assert SketchParams(num_hashes=64, bands=16).rows == 4
-
-    def test_collision_probability_monotone(self):
-        params = SketchParams()
-        probabilities = [params.collision_probability(s / 10)
-                        for s in range(11)]
-        assert probabilities == sorted(probabilities)
-        assert probabilities[0] == 0.0
-        assert probabilities[-1] == pytest.approx(1.0)
-
-    def test_signatures_deterministic_across_instances(self):
-        positions = [3, 17, 42]
-        one = MinHasher(seed=9).signature(positions)
-        two = MinHasher(seed=9).signature(positions)
-        assert one == two
-        assert MinHasher(seed=10).signature(positions) != one
-
-    def test_identical_sets_estimate_one(self):
-        hasher = MinHasher(seed=0)
-        signature = hasher.signature([1, 5, 9])
-        assert hasher.estimate(signature, signature) == 1.0
-
-    def test_empty_set_signature_is_sentinel(self):
-        hasher = MinHasher(seed=0)
-        empty = hasher.signature([])
-        assert len(set(empty)) == 1
-        assert hasher.estimate(empty, hasher.signature([])) == 1.0
-
-
 class TestSimilarityIndexExactness:
     @pytest.mark.parametrize("seed", range(6))
     def test_fuzz_candidates_superset_and_queries_exact(self, seed):
-        # The satellite fuzz contract: for random universes, sketch
-        # candidate pairs ⊇ every pair ≥ threshold, and query/all_pairs
-        # equal brute force exactly.
+        # For random universes, the element-posting candidate pairs
+        # all_pairs prunes through are a superset of every pair at or
+        # above the threshold, and query/all_pairs equal brute force.
         sets = random_universe(50, universe=120, seed=seed)
-        index = SimilarityIndex(seed=seed)
+        index = SimilarityIndex()
         for item, tokens in sets.items():
             index.add(item, tokens)
-        candidates = index.candidate_pairs()
+        candidates = index._element_pairs()
         for threshold in (0.1, 0.3, 0.5, 0.9):
             brute = brute_force_pairs(sets, threshold)
-            assert {(a, b) for s, a, b in brute} <= candidates
+            assert {(a, b) for _s, a, b in brute} <= candidates
             assert index.all_pairs(threshold) == brute
         for item in list(sets)[:10]:
             expected = sorted(
@@ -212,28 +210,18 @@ class TestSimilarityIndexExactness:
         with pytest.raises(ValueError, match="already indexed"):
             index.add("a", {2})
 
-    def test_incremental_add_keeps_sketches_consistent(self):
-        # Forcing sketch construction early must not desync later adds.
-        sets = random_universe(30, seed=11)
-        items = sorted(sets)
-        index = SimilarityIndex(seed=11)
-        for item in items[:10]:
-            index.add(item, sets[item])
-        index.signature(items[0])  # builds sketches mid-stream
-        for item in items[10:]:
-            index.add(item, sets[item])
-        assert index.all_pairs(0.3) == brute_force_pairs(sets, 0.3)
-
 
 class TestCorpusIndex:
-    def test_match_parity_with_linear_corpus(self, corpus, dataset):
-        index = CorpusIndex(corpus)
-        seen_keys = {entry.key() for entry in corpus}
-        for key in seen_keys:
-            assert index.match(*key) == corpus.match(*key)
+    def test_match_parity_with_linear_corpus(self, corpus, dataset,
+                                             linear_corpus):
+        # LibraryCorpus.match (highest version resolved once per key)
+        # equals the linear highest-version scan on every corpus key and
+        # every dataset fingerprint.
+        for key in corpus.keys():
+            assert corpus.match(*key) == linear_corpus.match(*key)
         for fp in dataset.fingerprints():
-            assert index.match(*fp) == corpus.match(*fp)
-        assert index.match(0x9999, (1, 2), (3,)) is None
+            assert corpus.match(*fp) == linear_corpus.match(*fp)
+        assert corpus.match(0x9999, (1, 2), (3,)) is None
 
     def test_near_matches_exact_vs_brute_force(self, corpus, dataset):
         index = CorpusIndex(corpus)
@@ -249,13 +237,6 @@ class TestCorpusIndex:
             hits = index.near_matches(fp, threshold=0.7, limit=None)
             assert [(s, lib.key()) for s, lib in hits] == expected
 
-    def test_prefix_candidates_cover_own_key(self, corpus):
-        index = CorpusIndex(corpus)
-        for entry in list(corpus)[:50]:
-            version, suites, _extensions = entry.key()
-            assert entry.key() in index.prefix_candidates(version,
-                                                          suites)
-
     def test_stats_shape(self, corpus):
         stats = CorpusIndex(corpus).stats()
         assert stats["entries"] == len(corpus)
@@ -264,97 +245,58 @@ class TestCorpusIndex:
 
 
 class TestEngineEquivalence:
-    def test_match_report_identical(self, dataset, corpus):
-        exact = MatchEngine(mode="exact")
-        sketch = MatchEngine(mode="sketch")
-        report_e = exact.match_report(dataset, corpus)
-        report_s = sketch.match_report(dataset, corpus)
-        assert report_e.matched == report_s.matched
-        assert report_e.device_counts == report_s.device_counts
-        assert report_e.total_fingerprints == report_s.total_fingerprints
+    """The one engine against the brute-force oracles above."""
+
+    def test_match_report_identical(self, dataset, corpus,
+                                    linear_corpus):
+        report = MatchEngine().match_report(dataset, corpus)
+        expected = {}
+        for fp in dataset.fingerprints():
+            library = linear_corpus.match(*fp)
+            if library is not None:
+                expected[fp] = library
+        assert report.matched == expected
+        assert report.device_counts == {
+            fp: len(dataset.fingerprint_devices(fp)) for fp in expected}
+        assert report.total_fingerprints == len(dataset.fingerprints())
 
     def test_vendor_similarity_pairs_byte_identical(self, dataset):
-        # The satellite contract: canonical digests equal, not just ==.
-        pairs_e = MatchEngine(mode="exact").vendor_similarity_pairs(
-            dataset)
-        pairs_s = MatchEngine(mode="sketch").vendor_similarity_pairs(
-            dataset)
-        assert digest(pairs_e) == digest(pairs_s)
-        assert pairs_e == pairs_s
-        assert len(pairs_e) > 0
+        # Canonical digests equal, not just ==.
+        pairs = MatchEngine().vendor_similarity_pairs(dataset)
+        expected = brute_force_pairs(
+            {vendor: dataset.vendor_fingerprints(vendor)
+             for vendor in dataset.vendor_names()}, 0.2)
+        assert digest(pairs) == digest(expected)
+        assert pairs == expected
+        assert len(pairs) == 28
 
     def test_server_specific_fingerprints_identical(self, dataset,
-                                                    corpus):
-        result_e = MatchEngine(mode="exact").server_specific_fingerprints(
-            dataset, corpus)
-        result_s = MatchEngine(
-            mode="sketch").server_specific_fingerprints(dataset, corpus)
-        assert result_e == result_s
+                                                    corpus,
+                                                    linear_corpus):
+        # The corpus-match exclusion agrees with the linear oracle.
+        result = MatchEngine().server_specific_fingerprints(dataset,
+                                                            corpus)
+        oracle = MatchEngine().server_specific_fingerprints(
+            dataset, linear_corpus)
+        assert result == oracle
+        assert result[1]
 
     def test_scaled_world_pairs_identical(self, dataset):
-        # 3x world: exact pairwise vs sketch-pruned must still agree.
-        world = {vendor: {("fp", fp) for fp in fingerprints}
-                 for vendor, fingerprints
-                 in scaled_vendor_sets(dataset, 3).items()}
-        index = SimilarityIndex(seed=5)
-        for vendor, tokens in world.items():
-            index.add(vendor, tokens)
-        assert index.all_pairs(0.2) == brute_force_pairs(world, 0.2)
-
-    def test_for_config_seed_derivation(self, study):
-        engine = MatchEngine.for_config(study.config)
-        assert engine.seed == seed_for_config(study.config)
-        assert engine.mode == "sketch"
+        # 3x world: the engine's pruned pairs still equal brute force.
+        world = scaled_vendor_sets(dataset, 3)
+        pairs = MatchEngine().vendor_similarity_pairs(VendorWorld(world))
+        assert pairs == brute_force_pairs(world, 0.2)
+        assert len(pairs) == 3 * 28
 
     def test_engine_index_caches_reused(self, dataset, corpus):
-        engine = MatchEngine(mode="sketch")
+        engine = MatchEngine()
         assert engine.corpus_index(corpus) is engine.corpus_index(corpus)
         assert engine.vendor_index(dataset) is engine.vendor_index(
             dataset)
-
-
-class TestModeRegistry:
-    def test_default_is_exact(self):
-        assert active_mode() == "exact"
-
-    def test_engine_mode_scopes_and_restores(self):
-        with engine_mode("sketch"):
-            assert active_mode() == "sketch"
-            assert shared_engine().mode == "sketch"
-        assert active_mode() == "exact"
-        assert shared_engine().mode == "exact"
-
-    def test_engine_mode_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with engine_mode("sketch"):
-                raise RuntimeError("boom")
-        assert active_mode() == "exact"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown match mode"):
-            set_default_mode("approximate")
-        with pytest.raises(ValueError, match="unknown match mode"):
-            MatchEngine(mode="fuzzy")
-
-    def test_shared_engines_cached_per_mode(self):
-        assert shared_engine("exact") is shared_engine("exact")
-        assert shared_engine("sketch") is not shared_engine("exact")
+        assert shared_engine() is shared_engine()
 
 
 class TestDeprecations:
-    def test_sharing_jaccard_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning,
-                          match="repro.match.set_jaccard"):
-            value = sharing.jaccard({1, 2}, {2, 3})
-        assert value == set_jaccard({1, 2}, {2, 3})
-
-    def test_match_against_corpus_warns_and_delegates(self, dataset,
-                                                      corpus):
-        with pytest.warns(DeprecationWarning, match="MatchEngine"):
-            report = matching.match_against_corpus(dataset, corpus)
-        expected = shared_engine().match_report(dataset, corpus)
-        assert report.matched == expected.matched
-
     def test_non_deprecated_paths_warn_nothing(self, dataset, corpus,
                                                recwarn):
         sharing.vendor_similarity_pairs(dataset)

@@ -11,9 +11,10 @@ from repro.cli import main
 from repro.ml import (DEFAULT_WIDTH, AttributionModel, FeatureExtractor,
                       LogisticOVR, MLParams, MultinomialNB,
                       canonical_report_text, eval_digest,
-                      evaluate_capture, evaluate_study, feature_seed,
-                      fingerprint_tokens, labeled_examples,
-                      stratified_split)
+                      evaluate_capture, evaluate_model, evaluate_study,
+                      feature_seed, fingerprint_tokens,
+                      labeled_examples, stratified_split,
+                      train_attribution)
 from repro.sweep.aggregate import SCALAR_BANDS
 from repro.sweep.grid import expand_grid, parse_grid
 
@@ -61,6 +62,21 @@ class TestFeatures:
     def test_feature_seed_derives_from_config(self, study):
         seed = feature_seed(study.config)
         assert seed == int(study.config.digest()[:16], 16)
+
+    def test_probe_side_knobs_do_not_move_the_model(self, study):
+        # Training reads only seed-determined inputs, so a config that
+        # differs in concurrency, retry budget or trust stores (the
+        # verify matrix's jobs / faults-retried / stores modes) must
+        # give the same eval payload, byte for byte.
+        from dataclasses import replace
+        knobs = replace(study.config, probe_jobs=4,
+                        retry=replace(study.config.retry,
+                                      max_attempts=4),
+                        trust_stores=study.config.trust_stores[:1])
+        assert feature_seed(knobs) == feature_seed(study.config)
+        inputs = (study.dataset, study.corpus, study.world, knobs)
+        fresh = evaluate_model(train_attribution(*inputs), *inputs)
+        assert eval_digest(fresh) == eval_digest(evaluate_study(study))
 
 
 # -------------------------------------------------------------------- data

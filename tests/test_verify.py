@@ -337,23 +337,6 @@ class TestMatrixExecution:
                   for result in report.results}
         assert len(counts) == 1 and counts.pop() > 20
 
-    def test_sketch_mode_digest_identical_to_serial(self, study,
-                                                    tmp_path):
-        # The repro.match proof obligation: sketch-pruned candidate
-        # generation must never change any analysis node's digest.
-        from repro.match import active_mode
-        matrix = EquivalenceMatrix(
-            base_config=study.config,
-            modes=(ExecutionMode("serial"),
-                   ExecutionMode("sketch", match_mode="sketch")),
-            workdir=str(tmp_path))
-        report = matrix.run()
-        assert report.ok, report.render()
-        assert active_mode() == "exact"  # mode restored after the run
-        serial, sketch = report.results
-        assert serial.comparable_digests() == \
-            sketch.comparable_digests()
-
 
 # --- paper invariants ----------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.x509 import asn1
+from repro.x509.certificate import Certificate
 from repro.x509.errors import DERDecodeError
 
 
@@ -153,3 +154,35 @@ class TestStructures:
         blob = bytes([asn1.Tag.OCTET_STRING, 5, 1, 2])
         with pytest.raises(DERDecodeError):
             asn1.decode(blob)
+
+
+def _nested_sequences(depth):
+    """``depth`` SEQUENCEs, each wrapping the next, around nothing."""
+    blob = b""
+    for _ in range(depth):
+        blob = asn1.encode_sequence(blob)
+    return blob
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize("entry_point", [
+        pytest.param(asn1.decode, id="asn1.decode"),
+        pytest.param(Certificate.from_der, id="Certificate.from_der"),
+    ])
+    def test_deep_nesting_is_a_decode_error(self, entry_point):
+        # 1,200 nested SEQUENCEs used to exhaust the interpreter stack
+        # (RecursionError) instead of failing with the codec's error.
+        with pytest.raises(DERDecodeError, match="nested deeper"):
+            entry_point(_nested_sequences(1200))
+
+    def test_nesting_up_to_the_cap_decodes(self):
+        node = asn1.decode(_nested_sequences(asn1.MAX_DEPTH))
+        for _ in range(asn1.MAX_DEPTH - 1):
+            node = node[0]
+        assert node.tag == asn1.Tag.SEQUENCE and not node.children
+
+    def test_one_past_the_cap_rejected(self):
+        with pytest.raises(DERDecodeError, match="nested deeper"):
+            asn1.decode(_nested_sequences(asn1.MAX_DEPTH + 1))
+        with pytest.raises(DERDecodeError, match="nested deeper"):
+            asn1.decode_all(_nested_sequences(asn1.MAX_DEPTH + 1))
