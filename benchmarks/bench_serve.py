@@ -3,10 +3,9 @@
 Times two things over a warmed study and writes ``BENCH_serve.json``:
 
 1. **ingest throughput** — a fresh :class:`~repro.ingest.Ingester`
-   streaming the full capture through all four incremental analyses
-   (fingerprint index, DoC counters, match rate, issuer shares),
-   best-of-``--repeat``; the headline ``records_per_sec`` is what the
-   bench gate floors;
+   folding the full capture window by window into its growing
+   dataset, best-of-``--repeat``; the headline ``records_per_sec`` is
+   what the bench gate floors;
 2. **query latency** — the stdlib load generator hammering a warm
    ``repro serve`` instance with the hot-endpoint mix from concurrent
    workers; p50/p99 per-request wall latency and sustained q/s.

@@ -14,9 +14,9 @@ Commands:
 - ``figures``   export plot-ready JSON data for every figure;
 - ``cache``     inspect (``stats``) or empty (``clear``) the artifact
   store;
-- ``serve``     stream-ingest the capture through the incremental
-  analyses and answer the paper's hot queries over a stdlib HTTP/JSON
-  API (``/healthz`` with per-objective SLO state, ``/metrics`` in JSON
+- ``serve``     stream-ingest the capture into a growing dataset and
+  answer the paper's hot queries over a stdlib HTTP/JSON API
+  (``/healthz`` with per-objective SLO state, ``/metrics`` in JSON
   or Prometheus exposition text via ``?format=prom``, ``/v1/slo``,
   ``/v1/debug/recent`` — the flight recorder, ``/v1/doc``,
   ``/v1/fingerprints``, ``/v1/match-rate``, ``/v1/issuers``,
@@ -43,8 +43,8 @@ Commands:
   baselines, run the execution-mode equivalence ``matrix`` (serial,
   parallel, cached, fault-injected, permuted trust stores, and the
   fabric cluster backend), evaluate the paper ``invariants``,
-  prove ``streaming`` == batch, digest-check the deterministic ``ml``
-  eval report against its committed baseline;
+  digest-check the deterministic ``ml`` eval report against its
+  committed baseline;
 - ``sweep``     process-parallel multi-config campaigns: ``run`` a seed
   grid (plus trust-store / fault-rate ablations) across worker
   processes — or across a one-host cluster with ``--backend cluster``
@@ -358,6 +358,10 @@ def _write_verify_report(args, payload):
 def cmd_serve(args):
     from repro.ingest import run_load, serve_study
     from repro.inspector.timeline import days
+    if args.window_days <= 0:
+        print(f"serve: --window-days must be positive, got "
+              f"{args.window_days}", file=sys.stderr)
+        return 2
     study, status = _study_or_status(args)
     if study is None:
         return status
@@ -393,7 +397,7 @@ def cmd_serve(args):
 
 
 def cmd_match_build_index(args):
-    from repro.ingest.incremental import fingerprint_id
+    from repro.ingest import fingerprint_id
     from repro.match import shared_engine
     study, status = _study_or_status(args)
     if study is None:
@@ -419,7 +423,7 @@ def cmd_match_build_index(args):
 
 
 def cmd_match_query(args):
-    from repro.ingest.incremental import fingerprint_id
+    from repro.ingest import fingerprint_id
     from repro.match import shared_engine
     study, status = _study_or_status(args)
     if study is None:
@@ -544,19 +548,6 @@ def cmd_verify_invariants(args):
     args.invariants = summary
     print(render_invariants(summary))
     return 0 if summary["ok"] else 1
-
-
-def cmd_verify_streaming(args):
-    from repro.inspector.timeline import days
-    from repro.verify import check_streaming
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
-    report = check_streaming(study, window_seconds=days(args.window_days),
-                             store=args.store)
-    print(report.render())
-    _write_verify_report(args, report.to_json())
-    return 0 if report.ok else 1
 
 
 def cmd_verify_ml(args):
@@ -1332,21 +1323,6 @@ def build_parser():
     _add_cache(p_vinv)
     _add_obs(p_vinv)
     p_vinv.set_defaults(func=cmd_verify_invariants)
-    p_vstream = verify_sub.add_parser(
-        "streaming",
-        help="prove the streaming ingest path's final state equals "
-             "the batch pipeline's, node for node")
-    _add_config(p_vstream)
-    _add_cache(p_vstream)
-    p_vstream.add_argument("--window-days", type=int, default=28,
-                           dest="window_days",
-                           help="stream window width in capture days "
-                                "(default %(default)s)")
-    p_vstream.add_argument("--report", metavar="PATH", default=None,
-                           help="also write per-node digests as JSON "
-                                "to PATH")
-    _add_obs(p_vstream)
-    p_vstream.set_defaults(func=cmd_verify_streaming)
     p_vml = verify_sub.add_parser(
         "ml",
         help="re-train the attribution model and digest-check its "

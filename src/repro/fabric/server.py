@@ -177,16 +177,25 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0 or length > MAX_BODY_BYTES:
-            return None
+        """The request body; :class:`ProtocolError` on a bad length."""
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            raise ProtocolError(400, f"malformed Content-Length "
+                                     f"{header[:32]!r}")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise ProtocolError(413, "request body too large")
         return self.rfile.read(length) if length else b""
 
     def _dispatch(self, method):
         parsed = urlparse(self.path)
-        body = self._body()
-        if body is None:
-            status, payload = 413, {"error": "request body too large"}
+        try:
+            body = self._body()
+        except ProtocolError as exc:
+            obs.incr("fabric.errors", key=str(exc.status))
+            status, payload = exc.status, {"error": exc.message}
+            # the unread body would be parsed as the next request
+            self.close_connection = True
         else:
             status, payload = self.service.handle(
                 method, parsed.path,

@@ -1,16 +1,27 @@
-"""The ingester: drive the stream through the incremental analyses.
+"""The ingester: grow a dataset from the stream, window by window.
 
 An :class:`Ingester` owns a :class:`~repro.ingest.stream.TimelineStream`
-and the four incremental analyses, and advances them window by window.
-Every ``compact_every`` windows (and at end-of-stream) it *compacts*:
-the analyses' mutable states are checkpointed into the study's
-:class:`~repro.store.artifact.ArtifactStore` under the
-``ingest.checkpoint`` stage, keyed — like every artifact — by the
-config's artifact digest and the package version.  A restarted ingester
-finds the checkpoint, restores the states, and re-enters the stream
-*after* the last compacted window; records already absorbed are never
-replayed, which is exactly what makes the final state reproducible
-across kills (proven by ``repro verify streaming``).
+and one private :class:`~repro.inspector.dataset.InspectorDataset` that
+starts empty; each window's records are folded into it with
+:meth:`~repro.inspector.dataset.InspectorDataset.extend`, the same fold
+that builds the study's dataset in one call.  :meth:`Ingester.snapshots`
+runs the served analyses (:mod:`repro.ingest.snapshots`) over the grown
+dataset, so once the stream is absorbed every served number equals the
+batch report's by construction.
+
+The dataset stays private to its ingester: it grows, and
+``MatchEngine.vendor_index`` caches per dataset object, so sharing it
+would let that cache answer for a past window.
+
+Every ``compact_every`` windows (and at end-of-stream) the ingester
+*compacts*: the dataset and the window cursor are checkpointed into the
+study's :class:`~repro.store.artifact.ArtifactStore` under the
+``ingest.dataset`` stage, keyed — like every artifact — by the config's
+artifact digest and the package version.  A restarted ingester finds
+the checkpoint, restores the dataset, and re-enters the stream *after*
+the last compacted window; records already absorbed are never
+replayed, so a killed-and-resumed ingester ends with the same dataset
+as an uninterrupted one.
 
 Observability: ``ingest.records`` / ``ingest.windows`` /
 ``ingest.compactions`` counters, an ``ingest.window`` span per window,
@@ -24,16 +35,21 @@ resume, so a scrape of ``/metrics`` always sees the current lag.
 """
 
 from repro import obs
-from repro.ingest.incremental import default_analyses
+from repro.ingest.snapshots import served_snapshots
 from repro.ingest.stream import DEFAULT_WINDOW_SECONDS, TimelineStream
+from repro.inspector.dataset import InspectorDataset
 from repro.store.artifact import MISS
 
-#: artifact-store stage name of the compacted ingest state.
-CHECKPOINT_STAGE = "ingest.checkpoint"
+#: artifact-store stage name of the compacted ingest state.  Store keys
+#: do not cover the checkpoint's layout (the pickled dataset's indexes
+#: included), so a layout change takes a new name: earlier layouts, such
+#: as the per-analysis states under ``ingest.checkpoint``, are then never
+#: read and a restarted ingester starts cold.
+CHECKPOINT_STAGE = "ingest.dataset"
 
 
 class Ingester:
-    """Stream a study's capture through the incremental analyses.
+    """Stream a study's capture into a growing dataset.
 
     Args:
         study: the :class:`~repro.study.Study` whose capture to ingest
@@ -57,12 +73,11 @@ class Ingester:
         self.compact_every = compact_every
         self.stream = TimelineStream.from_study(
             study, window_seconds=window_seconds)
-        self.analyses = default_analyses(study)
+        self._dataset = InspectorDataset(())
         #: index of the last window absorbed (-1: nothing yet).
         self.last_window = -1
         #: index of the last window covered by a store checkpoint.
         self.last_compacted = -1
-        self.records_ingested = 0
         self.resumed = False
         self._update_lag_gauges()
 
@@ -91,25 +106,21 @@ class Ingester:
         state = self._load_checkpoint()
         if state is None:
             return -1
-        for analysis in self.analyses:
-            analysis.restore(state["states"][analysis.name])
+        self._dataset = state["dataset"]
         self.last_window = state["window_index"]
         self.last_compacted = state["window_index"]
-        self.records_ingested = state["records_ingested"]
         self.resumed = True
         obs.incr("ingest.resumes")
         self._update_lag_gauges()
         return self.last_window
 
     def compact(self):
-        """Checkpoint every analysis's state into the artifact store."""
+        """Checkpoint the dataset and cursor into the artifact store."""
         if self.store is None:
             return None
         state = {
             "window_index": self.last_window,
-            "records_ingested": self.records_ingested,
-            "states": {analysis.name: analysis.checkpoint()
-                       for analysis in self.analyses},
+            "dataset": self._dataset,
         }
         path = self.store.put(self.config, CHECKPOINT_STAGE, state)
         self.last_compacted = self.last_window
@@ -120,12 +131,10 @@ class Ingester:
     # -- ingestion ------------------------------------------------------------
 
     def ingest_window(self, window):
-        """Absorb one stream window into every analysis."""
+        """Absorb one stream window into the dataset."""
         with obs.span("ingest.window") as span:
-            for analysis in self.analyses:
-                analysis.observe_window(window)
+            self._dataset.extend(window)
             self.last_window = window.index
-            self.records_ingested += len(window)
             span.incr("records", len(window))
         obs.incr("ingest.windows")
         obs.incr("ingest.records", n=len(window))
@@ -159,13 +168,16 @@ class Ingester:
         return self
 
     @property
+    def records_ingested(self):
+        return len(self._dataset)
+
+    @property
     def finished(self):
         return self.last_window >= self.stream.window_count - 1
 
     def snapshots(self):
-        """name → current snapshot, for every analysis."""
-        return {analysis.name: analysis.snapshot()
-                for analysis in self.analyses}
+        """name → served payload over the records absorbed so far."""
+        return served_snapshots(self.study, self._dataset)
 
     def status(self):
         """The ingester's progress summary (the ``/healthz`` payload)."""

@@ -1,8 +1,9 @@
 """``repro serve`` — the warm HTTP/JSON query API over ingested state.
 
 A stdlib-only (``http.server``) threaded service answering the paper's
-hot queries from the incremental analyses' warm state — no pipeline run
-per request.  Routing and payload assembly live in
+hot queries from snapshots cached at warm-up (the
+:mod:`repro.ingest.snapshots` analyses over the ingester's dataset) —
+no pipeline run per request.  Routing and payload assembly live in
 :class:`QueryService.handle`, a pure ``(path, params) -> (status,
 payload)`` function, so every endpoint is unit-testable without a
 socket; :func:`make_server` wraps it in a ``ThreadingHTTPServer``.
@@ -123,7 +124,7 @@ class QueryService:
         return self
 
     def refresh(self):
-        """Re-fold the analyses' state into the served snapshots."""
+        """Recompute the served snapshots over the ingested dataset."""
         self._snapshots = self.ingester.snapshots()
         if self._verdicts is None:
             self._verdicts = self._build_verdicts()
@@ -411,10 +412,10 @@ def serve_study(study, host="127.0.0.1", port=0, window_seconds=None,
     from repro.ingest.ingester import Ingester
     from repro.ingest.stream import DEFAULT_WINDOW_SECONDS
     obs.ensure_enabled()
-    ingester = Ingester(
-        study,
-        window_seconds=window_seconds or DEFAULT_WINDOW_SECONDS,
-        store=store, compact_every=compact_every)
+    if window_seconds is None:
+        window_seconds = DEFAULT_WINDOW_SECONDS
+    ingester = Ingester(study, window_seconds=window_seconds, store=store,
+                        compact_every=compact_every)
     service = QueryService(study, ingester, clock=clock).warm()
     service.telemetry.update_ingest(ingester)
     return make_server(service, host=host, port=port), service

@@ -6,10 +6,10 @@ it from scratch.  :class:`TimelineStream` re-presents the same records
 as an *ordered stream*: records sorted by capture timestamp (ties keep
 the generator's deterministic order, so the stream is a pure function of
 the :class:`~repro.config.StudyConfig`), chunked into fixed time windows
-spanning ``CAPTURE_START``..``CAPTURE_END``.  Incremental analyses
-(:mod:`repro.ingest.incremental`) consume the stream window by window,
-and the :class:`~repro.ingest.ingester.Ingester` checkpoints between
-windows — which is what makes a killed ingester resumable.
+spanning ``CAPTURE_START``..``CAPTURE_END``.  The
+:class:`~repro.ingest.ingester.Ingester` folds the stream window by
+window into a growing dataset and checkpoints between windows — which
+is what makes a killed ingester resumable.
 
 Every window in the span is emitted, including empty ones, so window
 indexes are a pure function of the clock and compaction never depends on
@@ -51,8 +51,8 @@ class TimelineStream:
         start / end: capture span bounds (defaults: the paper's
             ``CAPTURE_START`` / ``CAPTURE_END``).  Records outside the
             span are clamped into the first/last window rather than
-            dropped — the stream must conserve records for streaming ==
-            batch to hold.
+            dropped — the stream must conserve records for the ingested
+            dataset to equal the study's.
     """
 
     def __init__(self, records, window_seconds=DEFAULT_WINDOW_SECONDS,

@@ -3,7 +3,8 @@
 :class:`InspectorDataset` wraps the record stream with the joins every
 analysis in Section 4 needs: fingerprint↔vendor and fingerprint↔device
 incidence, per-vendor fingerprint sets, SNI↔fingerprint ties, and device /
-user registries.  All indexes are built once and cached.
+user registries.  Every index is a fold over the records, so the dataset
+is append-only: :meth:`InspectorDataset.extend` absorbs more records.
 """
 
 from collections import defaultdict
@@ -11,20 +12,17 @@ from collections import defaultdict
 
 
 class InspectorDataset:
-    """An immutable view over devices, users, and ClientHello records."""
+    """An append-only view over devices, users, and ClientHello records.
+
+    A dataset that grows must not be handed to code that caches per
+    dataset object (``MatchEngine.vendor_index``): the cache would keep
+    answering for the records seen when it was built.
+    """
 
     def __init__(self, records, devices=None, users=None):
-        self.records = list(records)
+        self.records = []
         self.devices = list(devices or [])
         self.users = list(users or [])
-        self._build_indexes()
-
-    @classmethod
-    def from_world(cls, world):
-        return cls(records=world.records, devices=world.devices,
-                   users=world.users)
-
-    def _build_indexes(self):
         self._fingerprints = set()
         self._vendors_by_fp = defaultdict(set)
         self._devices_by_fp = defaultdict(set)
@@ -37,7 +35,17 @@ class InspectorDataset:
         self._fps_by_sni = defaultdict(set)
         self._devices_by_sni = defaultdict(set)
         self._device_fps_by_sni = defaultdict(set)
-        for record in self.records:
+        self.extend(records)
+
+    @classmethod
+    def from_world(cls, world):
+        return cls(records=world.records, devices=world.devices,
+                   users=world.users)
+
+    def extend(self, records):
+        """Absorb more ClientHello records into the capture and indexes."""
+        for record in records:
+            self.records.append(record)
             fp = record.fingerprint()
             self._fingerprints.add(fp)
             self._vendors_by_fp[fp].add(record.vendor)

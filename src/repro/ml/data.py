@@ -26,7 +26,7 @@ prefix becomes the held-out set, so the split is a pure function of
 import hashlib
 from dataclasses import dataclass
 
-from repro.ingest.incremental import fingerprint_id
+from repro.ingest.snapshots import fingerprint_id
 
 #: Prediction targets the pipeline understands.
 TARGETS = ("family", "vendor")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.ingest.incremental import fingerprint_id
+from repro.ingest.snapshots import fingerprint_id
 from repro.ml.data import (TARGETS, labeled_examples, stratified_split)
 from repro.ml.features import (DEFAULT_WIDTH, FeatureExtractor,
                                feature_seed, training_config)

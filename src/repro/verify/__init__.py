@@ -11,10 +11,7 @@ enforced here rather than spot-checked per feature:
   artifact, ``repro verify record`` / ``repro verify check``;
 - :mod:`repro.verify.matrix` — the execution-mode equivalence matrix;
 - :mod:`repro.verify.invariants` — declarative paper anchors emitted
-  into the :class:`~repro.obs.manifest.RunManifest`;
-- :mod:`repro.verify.streaming` — streaming-vs-batch equivalence for
-  the :mod:`repro.ingest` incremental analyses
-  (``repro verify streaming``).
+  into the :class:`~repro.obs.manifest.RunManifest`.
 """
 
 from repro.verify.baseline import (CheckReport, Divergence,
@@ -32,16 +29,14 @@ from repro.verify.invariants import (MATCH_RATE_BAND, PAPER_INVARIANTS,
 from repro.verify.matrix import (EquivalenceMatrix, ExecutionMode,
                                  MatrixReport, ModeResult,
                                  compare_results, default_modes)
-from repro.verify.streaming import StreamingReport, check_streaming
 
 __all__ = [
     "CheckReport", "Divergence", "EquivalenceMatrix", "ExecutionMode",
     "Invariant", "MATCH_RATE_BAND", "MatrixReport", "ModeResult",
-    "PAPER_INVARIANTS", "StreamingReport", "UNIT_INTERVAL",
+    "PAPER_INVARIANTS", "UNIT_INTERVAL",
     "VALIDITY_MAX_DAYS",
     "VOLATILE_KEYS", "VOLATILE_NODES", "canonical_bytes",
     "canonicalize", "check_baseline", "check_invariants",
-    "check_streaming",
     "collect_snapshots", "compare_results", "default_modes", "digest",
     "first_divergence",
     "invariant_summary", "load_baseline", "record_baseline",

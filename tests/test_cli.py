@@ -85,6 +85,17 @@ class TestCommands:
         text = capsys.readouterr().out
         assert "no revocation path" in text
 
+    @pytest.mark.parametrize("days", ["0", "-3"])
+    def test_serve_rejects_non_positive_window(self, days, capsys,
+                                               monkeypatch):
+        def no_study(config):
+            raise AssertionError("serve built a study")
+        monkeypatch.setattr("repro.cli.get_study", no_study)
+        assert main(["serve", "--window-days", days, "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"serve: --window-days must be positive, " \
+                      f"got {days}\n"
+
 
 class TestMatchCommands:
     def test_build_index_writes_json(self, tmp_path, study, capsys):
@@ -101,7 +112,7 @@ class TestMatchCommands:
         assert "built match index" in text
 
     def test_query_known_fingerprint(self, tmp_path, study, capsys):
-        from repro.ingest.incremental import fingerprint_id
+        from repro.ingest import fingerprint_id
         fp = sorted(study.dataset.fingerprints())[0]
         fp_id = fingerprint_id(fp)
         assert main(["match", "query", fp_id,

@@ -29,6 +29,7 @@ from repro.fabric import (DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS,
                           FabricWorker, ProtocolError,
                           make_fabric_server, worker_main)
 from repro.fabric.protocol import LEASE_HOLD_BUCKETS_MS
+from repro.fabric.server import MAX_BODY_BYTES
 from repro.store import ArtifactStore, blob_key_of, encode_entry
 from repro.store.campaign import CampaignIndex
 from repro.sweep import SweepRunner, expand_grid
@@ -367,6 +368,36 @@ def fabric(tmp_path):
     live = _Fabric(tmp_path)
     yield live
     live.close()
+
+
+def _raw_post(url, content_length):
+    """POST with a verbatim Content-Length header; ``(status, body)``."""
+    host, port = url[len("http://"):].split(":")
+    request = (f"POST /fabric/lease HTTP/1.1\r\nHost: {host}\r\n"
+               f"Content-Length: {content_length}\r\n\r\n")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request.encode("ascii"))
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+class TestHttpBoundary:
+    @pytest.mark.parametrize("content_length, status", [
+        ("abc", 400), ("-5", 400), ("1_0", 400),
+        (str(MAX_BODY_BYTES + 1), 413)])
+    def test_bad_content_length_is_one_line_json(self, fabric,
+                                                 content_length, status):
+        got, body = _raw_post(fabric.url, content_length)
+        assert got == status
+        payload = json.loads(body)
+        assert set(payload) == {"error"}
+        assert "\n" not in payload["error"]
 
 
 class TestWorkersOverHTTP:

@@ -4,12 +4,10 @@ import pytest
 
 from repro.config import StudyConfig
 from repro.ingest import (ANALYSIS_NAMES, DEFAULT_WINDOW_SECONDS,
-                          Ingester, TimelineStream, batch_snapshots,
-                          default_analyses)
-from repro.ingest.incremental import FingerprintIndex, fingerprint_id
+                          Ingester, TimelineStream)
+from repro.ingest.snapshots import served_snapshots
 from repro.inspector.timeline import CAPTURE_END, CAPTURE_START, days
 from repro.store.artifact import ArtifactStore
-from repro.verify import check_streaming
 from repro.verify.canonical import canonicalize, digest
 
 from .conftest import make_record
@@ -74,80 +72,22 @@ class TestTimelineStream:
 class TestIncrementalAnalyses:
     def test_streaming_equals_batch_node_for_node(self, study):
         ingester = Ingester(study).run()
-        batch = batch_snapshots(study)
+        batch = served_snapshots(study, study.dataset)
         streaming = ingester.snapshots()
-        assert set(streaming) == set(ANALYSIS_NAMES)
+        assert tuple(streaming) == ANALYSIS_NAMES
         for name in ANALYSIS_NAMES:
             assert snap_digest(streaming[name]) == \
                 snap_digest(batch[name]), name
 
     def test_window_width_does_not_change_final_state(self, study):
-        wide = Ingester(study, window_seconds=days(120)).run()
-        narrow = Ingester(study, window_seconds=days(7)).run()
-        for name in ANALYSIS_NAMES:
-            assert snap_digest(wide.snapshots()[name]) == \
-                snap_digest(narrow.snapshots()[name]), name
-
-    def test_fingerprint_index_lookup(self, study):
-        index = FingerprintIndex()
-        for record in study.dataset.records:
-            index.update(record)
-        fp = study.dataset.records[0].fingerprint()
-        entry = index.lookup(fingerprint_id(fp))
-        assert entry is not None
-        assert study.dataset.records[0].vendor in entry["vendors"]
-        assert index.lookup("no-such-id") is None
-
-    def test_fingerprint_index_similar(self, study):
-        from repro.match import fingerprint_tokens, set_jaccard
-        index = FingerprintIndex()
-        for record in study.dataset.records:
-            index.update(record)
-        fp = study.dataset.records[0].fingerprint()
-        hits = index.similar(fingerprint_id(fp), threshold=0.5,
-                             limit=5)
-        assert index.similar("no-such-id") is None
-        assert len(hits) <= 5
-        probe = fingerprint_tokens(fp)
-        for hit in hits:
-            other = (hit["tls_version"], tuple(hit["ciphersuites"]),
-                     tuple(hit["extensions"]))
-            assert other != fp  # the probe itself is excluded
-            assert hit["similarity"] == set_jaccard(
-                probe, fingerprint_tokens(other))
-            assert hit["similarity"] >= 0.5
-
-    def test_fingerprint_index_similar_after_restore(self, study):
-        original = FingerprintIndex()
-        for record in study.dataset.records:
-            original.update(record)
-        restored = FingerprintIndex()
-        restored.restore(original.checkpoint())
-        fp_id = fingerprint_id(study.dataset.records[0].fingerprint())
-        assert restored.similar(fp_id, threshold=0.4) == \
-            original.similar(fp_id, threshold=0.4)
-
-    def test_merge_partitions_equals_whole(self, study):
-        stream = TimelineStream.from_study(study)
-        halves = [default_analyses(study), default_analyses(study)]
-        for window in stream.windows():
-            target = halves[0 if window.index % 2 == 0 else 1]
-            for analysis in target:
-                analysis.observe_window(window)
-        whole = Ingester(study).run()
-        for left, right, reference in zip(halves[0], halves[1],
-                                          whole.analyses):
-            left.merge(right)
-            assert snap_digest(left.snapshot()) == \
-                snap_digest(reference.snapshot()), left.name
-
-    def test_checkpoint_restore_round_trip(self, study):
-        original = Ingester(study).run()
-        for analysis, fresh in zip(original.analyses,
-                                   default_analyses(study)):
-            fresh.restore(analysis.checkpoint())
-            assert snap_digest(fresh.snapshot()) == \
-                snap_digest(analysis.snapshot()), analysis.name
+        assert DEFAULT_WINDOW_SECONDS == days(28)
+        default = Ingester(study).run().snapshots()
+        for width in (days(7), days(60), days(120)):
+            snapshots = Ingester(study, window_seconds=width).run() \
+                .snapshots()
+            for name in ANALYSIS_NAMES:
+                assert snap_digest(snapshots[name]) == \
+                    snap_digest(default[name]), (width, name)
 
 
 class TestIngesterResume:
@@ -186,6 +126,25 @@ class TestIngesterResume:
             assert snap_digest(again.snapshots()[name]) == \
                 snap_digest(first.snapshots()[name]), name
 
+    def test_stale_checkpoint_layout_starts_cold(self, study, tmp_path):
+        """A per-analysis checkpoint under the old stage name is ignored."""
+        store = ArtifactStore(tmp_path)
+        windows = TimelineStream.from_study(study).window_count
+        store.put(study.config, "ingest.checkpoint", {
+            "window_index": windows - 1,
+            "records_ingested": len(study.dataset.records),
+            "states": {"fingerprint_index": {"index": {}},
+                       "doc": {"vendors_by_fp": {}},
+                       "match_rate": {"fingerprints": set()},
+                       "issuer_shares": {"seen": set()}}})
+        ingester = Ingester(study, store=store).run()
+        assert not ingester.resumed
+        assert ingester.finished
+        assert ingester.records_ingested == len(study.dataset.records)
+        batch = served_snapshots(study, study.dataset)
+        for name, snapshot in ingester.snapshots().items():
+            assert snap_digest(snapshot) == snap_digest(batch[name]), name
+
     def test_no_store_still_runs(self, study):
         ingester = Ingester(study, store=None).run()
         assert ingester.finished
@@ -212,20 +171,3 @@ class TestIngesterResume:
         assert status["windows_ingested"] == status["windows_total"]
         assert status["records_ingested"] == \
             len(study.dataset.records)
-
-
-class TestVerifyStreaming:
-    def test_check_streaming_ok(self, study):
-        report = check_streaming(study)
-        assert report.ok
-        assert set(report.nodes) == set(ANALYSIS_NAMES)
-        payload = report.to_json()
-        assert payload["schema_version"] == 1
-        assert payload["ok"] is True
-        assert "streaming == batch" in report.render()
-
-    def test_check_streaming_window_equals_default(self, study):
-        assert DEFAULT_WINDOW_SECONDS == days(28)
-        report = check_streaming(study,
-                                 window_seconds=days(60))
-        assert report.ok

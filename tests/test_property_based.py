@@ -222,6 +222,65 @@ class TestDoCProperties:
             assert 0.0 <= doc_device(ds, device) <= 1.0
 
 
+def _dataset_view(ds):
+    """Every accessor's answer, over the keys the dataset knows."""
+    fps = ds.fingerprints()
+    vendors = ds.vendor_names()
+    devices = ds.device_ids()
+    snis = ds.snis()
+    return {
+        "len": len(ds),
+        "user_count": ds.user_count,
+        "fingerprints": fps,
+        "vendor_names": vendors,
+        "vendors_of_fp": {fp: ds.fingerprint_vendors(fp) for fp in fps},
+        "devices_of_fp": {fp: ds.fingerprint_devices(fp) for fp in fps},
+        "fps_of_vendor": {v: ds.vendor_fingerprints(v) for v in vendors},
+        "devices_of_vendor": {v: ds.devices_of_vendor(v)
+                              for v in vendors},
+        "fps_of_device": {d: ds.device_fingerprints(d) for d in devices},
+        "snis": snis,
+        "sni_fingerprints": {s: ds.sni_fingerprints(s) for s in snis},
+        "sni_devices": {s: ds.sni_devices(s) for s in snis},
+        "sni_device_fingerprints": {s: ds.sni_device_fingerprints(s)
+                                    for s in snis},
+        "sni_users": {s: ds.sni_users(s) for s in snis},
+    }
+
+
+class TestDatasetFoldProperties:
+    """Extending a dataset chunk by chunk equals building it at once."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_chunked_extend_equals_single_build(self, data):
+        from repro.inspector.dataset import InspectorDataset
+        from tests.conftest import make_record
+        n = data.draw(st.integers(min_value=0, max_value=16))
+        records = []
+        for _ in range(n):
+            vendor = data.draw(st.sampled_from(["V1", "V2", "V3"]))
+            device = f"{vendor}-d{data.draw(st.integers(0, 3))}"
+            suites = tuple(sorted(data.draw(
+                st.sets(st.sampled_from([0x2F, 0x35, 0x0A, 0xC02F]),
+                        min_size=1, max_size=3))))
+            records.append(make_record(
+                device=device, vendor=vendor,
+                user=f"u{data.draw(st.integers(0, 2))}", suites=suites,
+                sni=data.draw(st.sampled_from(
+                    [None, "", "a.example.com", "b.example.net"]))))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
+        bounds = [0] + cuts + [n]
+        chunks = [records[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        grown = InspectorDataset(chunks[0])
+        for chunk in chunks[1:]:
+            grown.extend(chunk)
+        whole = InspectorDataset(records)
+        assert grown.records == whole.records
+        assert _dataset_view(grown) == _dataset_view(whole)
+
+
 class TestFabricLeaseProperties:
     """The fabric scheduling invariant, under adversarial schedules.
 

@@ -90,8 +90,3 @@ class TestSchemaVersioning:
         report = SweepAggregator([], campaign_id="c", stage="full",
                                  units_total=0).report()
         assert report.to_json()[SCHEMA_KEY] == SCHEMA_VERSION
-
-    def test_streaming_report_versioned(self, study):
-        from repro.verify import check_streaming
-        payload = check_streaming(study).to_json()
-        assert payload[SCHEMA_KEY] == SCHEMA_VERSION
