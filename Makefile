@@ -14,7 +14,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ --durations=20
 
 # Lightweight lint: everything must byte-compile, and `print(` is banned
 # in src/repro outside the CLI (library code reports via repro.obs) and

@@ -18,6 +18,7 @@ The :class:`WorldGenerator` builds, from a single integer seed:
    and parsed back, exactly as a capture tool would observe it.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.inspector import catalog, labels, sdks, timeline
@@ -731,8 +732,14 @@ class WorldGenerator:
 
     # --- capture --------------------------------------------------------------------
 
-    def _emit_records(self, world):
-        spec_by_fqdn = {spec.fqdn: spec for spec in world.servers}
+    @staticmethod
+    def _destination_pools(world):
+        """The reachable servers ``_pick_destinations`` draws from.
+
+        Returns ``(common, common_per_sld, by_category, by_vendor, apps)``
+        in that method's argument order; ``common_per_sld`` counts the
+        common servers of each SLD, once per world.
+        """
         reachable = world.reachable_servers()
         common = [s for s in reachable
                   if s.audience == "common" and not s.sdk_stack]
@@ -745,13 +752,20 @@ class WorldGenerator:
             elif spec.audience.startswith("vendor:"):
                 by_vendor.setdefault(
                     spec.audience.split(":", 1)[1], []).append(spec)
+        common_per_sld = Counter(spec.sld for spec in common)
+        return common, common_per_sld, by_category, by_vendor, apps
+
+    def _emit_records(self, world):
+        common, common_per_sld, by_category, by_vendor, apps = \
+            self._destination_pools(world)
         profile_by_name = world.profile_by_name()
         records = []
         for device in world.devices:
             rng = stable_rng(self.seed, "traffic", device.device_id)
             profile = profile_by_name[device.vendor]
             destinations = self._pick_destinations(
-                device, profile, rng, common, by_category, by_vendor, apps)
+                device, profile, rng, common, common_per_sld, by_category,
+                by_vendor, apps)
             routed_keys = set(device.routing.values())
             plain_keys = [k for k in device.stacks
                           if k not in routed_keys and k != "legacy"]
@@ -793,8 +807,8 @@ class WorldGenerator:
         records.sort(key=lambda r: (r.timestamp, r.device_id))
         world.records = records
 
-    def _pick_destinations(self, device, profile, rng, common, by_category,
-                           by_vendor, apps):
+    def _pick_destinations(self, device, profile, rng, common,
+                           common_per_sld, by_category, by_vendor, apps):
         destinations = []
         own = by_vendor.get(profile.name, [])
         if own and (profile.exclusive_ca or rng.random() < 0.35):
@@ -809,9 +823,8 @@ class WorldGenerator:
             k = min(len(routed), rng.randint(2, 3))
             destinations.extend(rng.sample(routed, k))
         for spec in common:
-            per_sld = max(1, sum(1 for s in common if s.sld == spec.sld))
             p = _COMMON_VISIT_P.get(spec.sld, _DEFAULT_COMMON_P)
-            if rng.random() < (p / per_sld) * 1.1:
+            if rng.random() < (p / common_per_sld[spec.sld]) * 1.1:
                 destinations.append(spec.fqdn)
         for spec in by_category.get(profile.category, []):
             if rng.random() < 0.06:

@@ -22,6 +22,7 @@ from repro.tlslib.extensions import ExtensionType as Ext
 from repro.tlslib.handshake import TLSClient
 from repro.tlslib.versions import TLSVersion
 from repro.x509.certificate import Certificate
+from repro.x509.errors import DERDecodeError
 
 #: The prober's own (modern, browser-like) ClientHello configuration.
 _PROBE_SUITES = tuple(codes_by_names([
@@ -113,11 +114,14 @@ class ProbeResult:
 class Prober:
     """Probes a :class:`~repro.probing.network.SimulatedNetwork`.
 
-    Stateless between probes: every :meth:`probe_one` builds a fresh
-    :class:`~repro.tlslib.handshake.TLSClient`, so a prober instance can
-    be shared only as a convenience — engine workers each construct their
-    own (see :class:`repro.probing.engine.ProbeEngine`), and nothing is
-    shared across vantages either way.
+    Every :meth:`probe_one` builds a fresh
+    :class:`~repro.tlslib.handshake.TLSClient`, so no handshake state
+    survives a probe.  The one thing a prober keeps is a memo from DER
+    bytes to the decoded, frozen :class:`Certificate`: the same chains
+    come back from every vantage and from every host that shares a
+    certificate, so each distinct blob goes through the parser once.
+    Engine workers each construct their own prober (see
+    :class:`repro.probing.engine.ProbeEngine`), so the memo needs no lock.
     """
 
     def __init__(self, network, vantages=VANTAGE_POINTS, config=None):
@@ -125,6 +129,15 @@ class Prober:
             vantages = config.vantages
         self.network = network
         self.vantages = tuple(vantages)
+        self._decoded = {}
+
+    def _certificate(self, der):
+        """``der`` decoded, parsing each distinct blob only once."""
+        certificate = self._decoded.get(der)
+        if certificate is None:
+            certificate = Certificate.from_der(der)
+            self._decoded[der] = certificate
+        return certificate
 
     def _hello(self, sni):
         return ClientHello(version=TLSVersion.TLS_1_2,
@@ -146,7 +159,11 @@ class Prober:
         except TLSError as exc:
             return ProbeResult(fqdn=fqdn, vantage=vantage.name,
                                reachable=True, error=str(exc))
-        chain = [Certificate.from_der(der) for der in result.chain_der]
+        try:
+            chain = [self._certificate(der) for der in result.chain_der]
+        except DERDecodeError as exc:
+            return ProbeResult(fqdn=fqdn, vantage=vantage.name,
+                               reachable=True, error=f"bad certificate: {exc}")
         return ProbeResult(
             fqdn=fqdn, vantage=vantage.name, reachable=True, chain=chain,
             negotiated_version=result.negotiated_version,

@@ -103,17 +103,17 @@ class ASN1Value:
         if self.tag == Tag.UTC_TIME:
             if len(text) != 13 or not text.endswith("Z"):
                 raise DERDecodeError(f"malformed UTCTime: {text!r}")
-            year = int(text[0:2])
-            year += 2000 if year < 50 else 1900
-            parts = text[2:12]
+            year_digits, parts = text[0:2], text[2:12]
         elif self.tag == Tag.GENERALIZED_TIME:
             if len(text) != 15 or not text.endswith("Z"):
                 raise DERDecodeError(f"malformed GeneralizedTime: {text!r}")
-            year = int(text[0:4])
-            parts = text[4:14]
+            year_digits, parts = text[0:4], text[4:14]
         else:
             raise DERDecodeError(f"tag 0x{self.tag:02X} is not a time type")
         try:
+            year = int(year_digits)
+            if self.tag == Tag.UTC_TIME:
+                year += 2000 if year < 50 else 1900
             month, day = int(parts[0:2]), int(parts[2:4])
             hour, minute, second = int(parts[4:6]), int(parts[6:8]), int(parts[8:10])
             return calendar.timegm((year, month, day, hour, minute, second))
@@ -127,7 +127,11 @@ class ASN1Value:
         return len(self.children)
 
     def __getitem__(self, index):
-        return self.children[index]
+        try:
+            return self.children[index]
+        except IndexError:
+            raise DERDecodeError(
+                f"tag 0x{self.tag:02X} has no member {index}") from None
 
 
 # --- low-level encode helpers ------------------------------------------------

@@ -82,8 +82,20 @@ def _decode_extensions(node):
             inner = asn1.decode(value)
             for general_name in inner:
                 if general_name.tag == asn1.Tag.context(2, constructed=False):
-                    san.append(general_name.content.decode("ascii"))
+                    try:
+                        san.append(general_name.content.decode("ascii"))
+                    except UnicodeDecodeError as exc:
+                        raise DERDecodeError(
+                            "SAN dNSName is not ASCII") from exc
     return is_ca, tuple(san)
+
+
+def _decode_name(node):
+    """A DistinguishedName; a name without a common name is malformed."""
+    try:
+        return DistinguishedName.from_asn1(node)
+    except ValueError as exc:
+        raise DERDecodeError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -158,30 +170,30 @@ class Certificate:
 
     @classmethod
     def from_der(cls, data):
+        """Decode DER; malformed input raises only DERDecodeError."""
         root = asn1.decode(data)
         if len(root) != 3:
             raise DERDecodeError("certificate must have exactly three members")
         tbs, _sig_alg, sig_value = root
         signature = sig_value.as_bit_string()
-        members = list(tbs)
         index = 0
-        if members[index].tag == asn1.Tag.context(0):
+        if tbs[index].tag == asn1.Tag.context(0):
             index += 1  # version [0]
-        serial = members[index].as_integer()
+        serial = tbs[index].as_integer()
         index += 2  # skip signature AlgorithmIdentifier inside TBS
-        issuer = DistinguishedName.from_asn1(members[index])
+        issuer = _decode_name(tbs[index])
         index += 1
-        validity = members[index]
+        validity = tbs[index]
         not_before = validity[0].as_time()
         not_after = validity[1].as_time()
         index += 1
-        subject = DistinguishedName.from_asn1(members[index])
+        subject = _decode_name(tbs[index])
         index += 1
-        public_key = _decode_spki(members[index])
+        public_key = _decode_spki(tbs[index])
         index += 1
         is_ca, san = False, ()
-        if index < len(members) and members[index].tag == asn1.Tag.context(3):
-            is_ca, san = _decode_extensions(members[index])
+        if index < len(tbs) and tbs[index].tag == asn1.Tag.context(3):
+            is_ca, san = _decode_extensions(tbs[index])
         # Re-encode the TBS exactly as found so signatures keep verifying.
         tbs_der = asn1.encode_tlv(tbs.tag, tbs.content)
         return cls(serial=serial, subject=subject, issuer=issuer,

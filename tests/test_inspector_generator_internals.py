@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 
 from repro.inspector.generator import (
+    _COMMON_VISIT_P,
+    _DEFAULT_COMMON_P,
     LIBRARY_BASES,
     PRIVATE_CA_ORGS,
     STANDALONE_VENDORS,
@@ -131,3 +133,68 @@ class TestLibraryBases:
                     suite = suite_by_code(code)
                     assert not suite.is_export, (key, version, suite.name)
                     assert not suite.is_anon, (key, version, suite.name)
+
+
+def _pick_destinations_quadratic(device, profile, rng, common, by_category,
+                                 by_vendor, apps):
+    """``_pick_destinations`` with its per-spec recount of ``per_sld``.
+
+    The generator counts each SLD's common servers once per world; this
+    copy recounts them over the whole ``common`` list for every spec, as
+    the generator once did, and is the oracle that the hoisted count
+    keeps the same destinations and RNG draws.
+    """
+    destinations = []
+    own = by_vendor.get(profile.name, [])
+    if own and (profile.exclusive_ca or rng.random() < 0.35):
+        k = min(len(own), rng.randint(1, 2))
+        destinations.extend(s.fqdn for s in rng.sample(own, k))
+    if profile.exclusive_ca:
+        return destinations
+    if device.routing:
+        routed = sorted(device.routing)
+        k = min(len(routed), rng.randint(2, 3))
+        destinations.extend(rng.sample(routed, k))
+    for spec in common:
+        per_sld = max(1, sum(1 for s in common if s.sld == spec.sld))
+        p = _COMMON_VISIT_P.get(spec.sld, _DEFAULT_COMMON_P)
+        if rng.random() < (p / per_sld) * 1.1:
+            destinations.append(spec.fqdn)
+    for spec in by_category.get(profile.category, []):
+        if rng.random() < 0.06:
+            destinations.append(spec.fqdn)
+    for spec in apps:
+        if rng.random() < 0.004:
+            destinations.append(spec.fqdn)
+    seen, out = set(), []
+    for fqdn in destinations:
+        if fqdn not in seen:
+            seen.add(fqdn)
+            out.append(fqdn)
+    if not out:
+        fallback_pool = own or common
+        if fallback_pool:
+            out.append(rng.choice(fallback_pool).fqdn)
+    return out
+
+
+class TestPickDestinations:
+    def test_hoisted_count_equals_per_spec_recount(self, generator, study):
+        assert generator.seed == study.seed
+        world = study.world
+        common, common_per_sld, by_category, by_vendor, apps = \
+            generator._destination_pools(world)
+        assert sum(common_per_sld.values()) == len(common)
+        profiles = world.profile_by_name()
+        for device in world.devices:
+            profile = profiles[device.vendor]
+            rng = stable_rng(world.seed, "traffic", device.device_id)
+            oracle_rng = stable_rng(world.seed, "traffic", device.device_id)
+            picked = generator._pick_destinations(
+                device, profile, rng, common, common_per_sld, by_category,
+                by_vendor, apps)
+            expected = _pick_destinations_quadratic(
+                device, profile, oracle_rng, common, by_category, by_vendor,
+                apps)
+            assert picked == expected, device.device_id
+            assert rng.getstate() == oracle_rng.getstate(), device.device_id

@@ -1,10 +1,12 @@
 """Tests for the parallel probe engine, retry path, and StudyConfig."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.config import StudyConfig
+from repro.inspector.timeline import PROBE_TIME
 from repro.probing.engine import (
     FaultInjector,
     InjectedReset,
@@ -18,6 +20,10 @@ from repro.probing.engine import (
 from repro.probing.prober import Prober
 from repro.probing.vantage import VANTAGE_POINTS
 from repro.study import get_study
+from repro.tlslib.ciphersuites import codes_by_names
+from repro.tlslib.handshake import ServerConfig, TLSServer
+from repro.tlslib.versions import TLSVersion
+from repro.x509.certificate import Certificate
 
 #: Enough SNIs to cover reachable, unreachable, shared, and geo-variant
 #: endpoints without probing the full matrix in every test.
@@ -180,6 +186,92 @@ class TestRetryPath:
         categories = set(dataset.stats.faults)
         assert categories <= {"transient", "reset", "timeout"}
         assert len(categories) >= 2
+
+
+#: A SEQUENCE whose declared length runs past the end of its bytes.
+BAD_DER = bytes.fromhex("30030201")
+
+
+class _BadCertificateNetwork:
+    """The real network, except that one host serves ``BAD_DER``."""
+
+    def __init__(self, network, bad_fqdn):
+        self.network = network
+        self.bad_fqdn = bad_fqdn
+        self.seed = network.seed
+
+    def connect(self, fqdn, client_hello_bytes, region="us", at=PROBE_TIME):
+        if fqdn != self.bad_fqdn:
+            return self.network.connect(fqdn, client_hello_bytes,
+                                        region=region, at=at)
+        server = TLSServer(ServerConfig(
+            supported_versions=frozenset({TLSVersion.TLS_1_2}),
+            supported_suites=tuple(codes_by_names(
+                ["TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256"])),
+            chain_provider=lambda _sni: [BAD_DER]))
+        return server.handle(client_hello_bytes)
+
+
+@pytest.fixture
+def count_decodes(monkeypatch):
+    """Count ``Certificate.from_der`` calls by DER blob."""
+    calls = Counter()
+    decode = Certificate.from_der.__func__
+
+    def counting(cls, data):
+        calls[bytes(data)] += 1
+        return decode(cls, data)
+
+    monkeypatch.setattr(Certificate, "from_der", classmethod(counting))
+    return calls
+
+
+class TestCertificateDecode:
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_bad_certificate_is_recorded_not_raised(self, study, network,
+                                                    snis, jobs):
+        bad = study.world.reachable_servers()[0].fqdn
+        probed = [bad] + [fqdn for fqdn in snis[:40] if fqdn != bad]
+        engine = ProbeEngine(_BadCertificateNetwork(network, bad),
+                             jobs=jobs)
+        dataset = engine.probe_all(probed)
+        assert len(dataset.results) == len(VANTAGE_POINTS) * len(probed)
+        for result in dataset.results:
+            if result.fqdn == bad:
+                assert result.reachable and not result.chain
+                assert result.error == ("bad certificate: content extends "
+                                        "past end of input")
+        healthy = ProbeEngine(network, jobs=jobs).probe_all(probed)
+        assert [r.signature_bytes() for r in dataset.results
+                if r.fqdn != bad] == \
+            [r.signature_bytes() for r in healthy.results if r.fqdn != bad]
+        assert dataset.stats.outcomes["tls_error"] == \
+            healthy.stats.outcomes["tls_error"] + len(VANTAGE_POINTS)
+
+    def test_failed_decode_is_not_memoized(self, study, network,
+                                           count_decodes):
+        bad = study.world.reachable_servers()[0].fqdn
+        prober = Prober(_BadCertificateNetwork(network, bad))
+        for _ in range(2):
+            assert prober.probe_one(bad, VANTAGE_POINTS[0]).error
+        assert count_decodes[BAD_DER] == 2
+
+    def test_each_distinct_der_decoded_once(self, study, network,
+                                            count_decodes, monkeypatch):
+        snis = [spec.fqdn for spec in study.world.servers]
+        memoized = ProbeEngine(network, jobs=1).probe_all(snis)
+        distinct = {certificate.to_der() for result in memoized.results
+                    for certificate in result.chain}
+        assert set(count_decodes) == distinct
+        assert set(count_decodes.values()) == {1}
+        assert sum(len(r.chain) for r in memoized.results) > len(distinct)
+
+        monkeypatch.setattr(Prober, "_certificate",
+                            lambda _self, der: Certificate.from_der(der))
+        fresh = ProbeEngine(network, jobs=1).probe_all(snis)
+        assert fresh.fingerprint() == memoized.fingerprint()
+        assert [r.chain for r in fresh.results] == \
+            [r.chain for r in memoized.results]
 
 
 class TestLatencyModel:

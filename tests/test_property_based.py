@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import functools
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +11,9 @@ from repro.tlslib.clienthello import ClientHello
 from repro.tlslib.record import ContentType, decode_records, encode_records
 from repro.tlslib.versions import TLSVersion
 from repro.x509 import asn1
+from repro.x509.ca import CertificateAuthority
+from repro.x509.certificate import Certificate
+from repro.x509.errors import X509Error
 
 SLOW = settings(deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -87,6 +91,68 @@ class TestDERProperties:
         try:
             asn1.decode(junk)
         except DERDecodeError:
+            pass
+
+
+@functools.lru_cache(maxsize=1)
+def _real_leaf():
+    """DER of a leaf issued under a root and an intermediate."""
+    ca = CertificateAuthority("Fuzz Trust", is_public_trust=True,
+                              rng=random.Random(5),
+                              intermediate_names=("Fuzz Trust CA 1",),
+                              now=1_600_000_000)
+    leaf, _key = ca.issue_leaf(
+        "api.vendor.example", now=1_650_000_000,
+        san_dns_names=("api.vendor.example", "*.vendor.example"),
+        subject_organization="Vendor")
+    return leaf.to_der()
+
+
+def _tag_offsets(data, base=0):
+    """Offsets of every identifier octet in a well-formed DER blob."""
+    offsets, pos = [], 0
+    while pos < len(data):
+        tag, content, end = asn1._read_tlv(data, pos)
+        offsets.append(base + pos)
+        if tag & asn1.Tag.CONSTRUCTED:
+            offsets += _tag_offsets(content, base + end - len(content))
+        pos = end
+    return offsets
+
+
+@st.composite
+def leaf_mutants(draw):
+    """The real leaf after one to three truncations, byte edits, or
+    flips of the constructed bit of one of its tags."""
+    der = bytearray(_real_leaf())
+    tags = _tag_offsets(_real_leaf())
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(("truncate", "edit", "flip")))
+        if not der:
+            break
+        if kind == "truncate":
+            del der[draw(st.integers(0, len(der) - 1)):]
+        elif kind == "edit":
+            der[draw(st.integers(0, len(der) - 1))] = \
+                draw(st.integers(0, 255))
+        else:
+            offset = draw(st.sampled_from(tags))
+            if offset < len(der):
+                der[offset] ^= asn1.Tag.CONSTRUCTED
+    return bytes(der)
+
+
+class TestCertificateDecodeFuzz:
+    """Structure-aware mutants of a real leaf: ``Certificate.from_der``
+    either decodes them or fails inside the x509 error taxonomy."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(blob=leaf_mutants())
+    def test_every_failure_is_an_x509_error(self, blob):
+        try:
+            Certificate.from_der(blob)
+        except X509Error:
             pass
 
 

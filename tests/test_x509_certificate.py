@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.x509 import asn1
 from repro.x509.certificate import Certificate, sign_certificate
 from repro.x509.errors import DERDecodeError, SignatureError
 from repro.x509.keys import generate_keypair
@@ -68,6 +69,31 @@ class TestRoundTrip:
     def test_garbage_rejected(self):
         with pytest.raises(DERDecodeError):
             Certificate.from_der(b"\x30\x03\x02\x01\x05")
+
+
+def _empty_tbs(_der):
+    return asn1.encode_sequence(asn1.encode_sequence(), asn1.encode_sequence(),
+                                asn1.encode_bit_string(b"sig"))
+
+
+def _bad_utc_year(der):
+    at = der.index(b"\x17\x0d") + 2  # the first UTCTime's "YY"
+    return der[:at] + b"xx" + der[at + 2:]
+
+
+class TestMalformedStructure:
+    """Well-formed DER that is not a well-formed certificate."""
+
+    @pytest.mark.parametrize("mutate", [
+        _empty_tbs,
+        lambda der: der.replace(b"\x55\x04\x03", b"\x55\x04\x07"),
+        lambda der: der.replace(b"www.vendor.com", b"\xffww.vendor.com"),
+        _bad_utc_year,
+    ], ids=["empty-tbs", "name-without-cn", "non-ascii-san",
+            "non-digit-year"])
+    def test_raises_der_decode_error(self, leaf, mutate):
+        with pytest.raises(DERDecodeError):
+            Certificate.from_der(mutate(leaf.to_der()))
 
 
 class TestSemantics:

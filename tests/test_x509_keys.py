@@ -3,9 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.x509.errors import SignatureError
-from repro.x509.keys import KeyPool, RSAPublicKey, generate_keypair
+from repro.x509.keys import (
+    KeyPool,
+    RSAPublicKey,
+    _pad_digest,
+    generate_keypair,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,42 @@ class TestSignVerify:
         assert keypair.public.fingerprint() == keypair.public.fingerprint()
         other = generate_keypair(512, rng=random.Random(3))
         assert keypair.public.fingerprint() != other.public.fingerprint()
+
+
+def _textbook_sign(key, message):
+    """Full-modulus ``pow(m, d, n)``: the oracle for CRT signing."""
+    length = key.public.byte_length
+    value = int.from_bytes(_pad_digest(message, length), "big")
+    return pow(value, key.d, key.public.n).to_bytes(length, "big")
+
+
+@pytest.fixture(scope="module")
+def oracle_keys():
+    """Keys from six seeds at the simulator's 512 bits, plus two other
+    modulus sizes (one not a multiple of 8)."""
+    keys = [generate_keypair(512, rng=random.Random(seed))
+            for seed in (1, 7, 23, 2023, 4242, 99991)]
+    keys += [generate_keypair(bits, rng=random.Random(bits))
+             for bits in (516, 1024)]
+    return keys
+
+
+class TestCRTSigning:
+    def test_private_values_are_consistent(self, oracle_keys):
+        for key in oracle_keys:
+            assert key.p * key.q == key.public.n
+            assert key.dp == key.d % (key.p - 1)
+            assert key.dq == key.d % (key.q - 1)
+            assert key.q * key.q_inv % key.p == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(message=st.binary(max_size=300))
+    def test_sign_equals_textbook_exponentiation(self, oracle_keys,
+                                                 message):
+        for key in oracle_keys:
+            signature = key.sign(message)
+            assert signature == _textbook_sign(key, message)
+            key.public.verify(message, signature)
 
 
 class TestKeyPool:
