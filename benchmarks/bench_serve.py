@@ -20,10 +20,10 @@ import argparse
 import json
 import pathlib
 import sys
-import threading
 import time
 
 from repro.config import StudyConfig
+from repro.http import serving
 from repro.ingest import Ingester, QueryService, make_server, run_load
 from repro.study import Study
 
@@ -65,15 +65,11 @@ def main(argv=None):
 
     service = QueryService(study, ingester).warm()
     server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    print(f"load-testing http://{host}:{port} with "
+    print(f"load-testing {server.url} with "
           f"{args.workers} workers x {args.requests} requests...")
-    load = run_load(f"http://{host}:{port}",
-                    requests_per_worker=args.requests,
-                    workers=args.workers)
-    server.shutdown()
+    with serving(server):
+        load = run_load(server.url, requests_per_worker=args.requests,
+                        workers=args.workers)
     summary = load.to_json()
     print(f"  {summary['requests']} requests, {summary['errors']} "
           f"errors: {summary['qps']:,.0f} q/s, "

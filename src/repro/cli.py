@@ -356,6 +356,7 @@ def _write_verify_report(args, payload):
 
 
 def cmd_serve(args):
+    from repro.http import serving
     from repro.ingest import run_load, serve_study
     from repro.inspector.timeline import days
     if args.window_days <= 0:
@@ -365,28 +366,28 @@ def cmd_serve(args):
     study, status = _study_or_status(args)
     if study is None:
         return status
-    import threading
     server, service = serve_study(
         study, host=args.host, port=args.port,
         window_seconds=days(args.window_days), store=args.store)
-    host, port = server.server_address[:2]
-    print(f"serving study (seed {args.seed}) on http://{host}:{port} "
+    print(f"serving study (seed {args.seed}) on {server.url} "
           f"— {service.ingester.records_ingested} records in "
           f"{service.ingester.stream.window_count} windows"
           f"{' (resumed from checkpoint)' if service.ingester.resumed else ''}")
     if args.smoke:
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        result = run_load(f"http://{host}:{port}",
-                          requests_per_worker=args.smoke_requests,
-                          workers=2)
-        server.shutdown()
+        with serving(server):
+            result = run_load(server.url,
+                              requests_per_worker=args.smoke_requests,
+                              workers=2)
         summary = result.to_json()
         print(f"smoke: {summary['requests']} requests, "
               f"{summary['errors']} errors, {summary['qps']} q/s, "
               f"p99 {summary['p99_ms']} ms")
         return 0 if summary["errors"] == 0 else 1
+    return _serve_until_interrupted(server)
+
+
+def _serve_until_interrupted(server):
+    """Serve in the foreground until Ctrl-C; always close the socket."""
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -891,11 +892,11 @@ def cmd_sweep_report(args):
 
 
 def cmd_fabric_serve(args):
-    import threading
     from repro.fabric import (DEFAULT_LEASE_SECONDS,
                               DEFAULT_MAX_ATTEMPTS, FabricCoordinator,
                               make_fabric_server)
-    from repro.store import ArtifactStore, CampaignIndex
+    from repro.http import serving
+    from repro.store import CampaignIndex
     from repro.sweep import expand_grid, parse_grid
     index_path = os.path.join(args.out, "campaign.json")
     try:
@@ -923,43 +924,23 @@ def cmd_fabric_serve(args):
             store=spec)
         print(f"fabric serve: created campaign "
               f"{index.campaign_id[:12]} ({len(units)} units)")
-    blob_store = None
-    if spec and spec.get("backend") == "http" and not spec.get("url"):
-        blob_store = ArtifactStore(spec["dir"])
     coordinator = FabricCoordinator(
         index, store_spec=spec,
         lease_seconds=args.lease_seconds or DEFAULT_LEASE_SECONDS,
         max_attempts=args.max_attempts or DEFAULT_MAX_ATTEMPTS)
-    server, _ = make_fabric_server(coordinator, blob_store=blob_store,
-                                   host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    url = f"http://{host}:{port}"
-    if blob_store is not None:
-        # The self-served spec resolves now that the port is known.
-        coordinator.store_spec = {"backend": "http", "url": url}
-    print(f"fabric coordinator on {url} — point workers at it with "
-          f"`repro fabric worker {url}`")
+    server, _ = make_fabric_server(coordinator, host=args.host,
+                                   port=args.port)
+    print(f"fabric coordinator on {server.url} — point workers at it "
+          f"with `repro fabric worker {server.url}`")
     if args.until_done:
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
+        with serving(server):
             while not coordinator.done():
                 time.sleep(0.25)
-        finally:
-            server.shutdown()
-            server.server_close()
         completed = len(index.completed)
         print(f"fabric serve: campaign finished — {completed}/"
               f"{len(index.units)} units completed")
         return 0 if completed == len(index.units) else 1
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.server_close()
-    return 0
+    return _serve_until_interrupted(server)
 
 
 def cmd_fabric_worker(args):

@@ -26,11 +26,10 @@ topology (coordinator + N worker processes) on one host.
 """
 
 from repro.fabric.coordinator import FabricCoordinator
-from repro.fabric.protocol import DEFAULT_LEASE_SECONDS, \
-    DEFAULT_MAX_ATTEMPTS, ProtocolError
+from repro.fabric.protocol import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS
 from repro.fabric.server import FabricService, make_fabric_server
 from repro.fabric.worker import FabricWorker, worker_main
 
 __all__ = ["DEFAULT_LEASE_SECONDS", "DEFAULT_MAX_ATTEMPTS",
            "FabricCoordinator", "FabricService", "FabricWorker",
-           "ProtocolError", "make_fabric_server", "worker_main"]
+           "make_fabric_server", "worker_main"]

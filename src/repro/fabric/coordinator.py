@@ -35,7 +35,8 @@ import uuid
 
 from repro import obs
 from repro.fabric.protocol import DEFAULT_LEASE_SECONDS, \
-    DEFAULT_MAX_ATTEMPTS, LEASE_HOLD_BUCKETS_MS, ProtocolError
+    DEFAULT_MAX_ATTEMPTS, LEASE_HOLD_BUCKETS_MS
+from repro.http import HTTPError
 
 
 class _Lease:
@@ -144,8 +145,8 @@ class FabricCoordinator:
             lease = self._leases.get(token)
             if lease is None:
                 if token not in self._token_keys:
-                    raise ProtocolError(404, f"unknown lease {token!r}")
-                raise ProtocolError(
+                    raise HTTPError(404, f"unknown lease {token!r}")
+                raise HTTPError(
                     410, "lease expired; the unit was returned to the "
                          "queue")
             lease.deadline = now + self.lease_seconds
@@ -155,16 +156,16 @@ class FabricCoordinator:
     def complete(self, token, result):
         """Record one finished unit; idempotent across stolen leases."""
         if not isinstance(result, dict) or "key" not in result:
-            raise ProtocolError(400, "complete needs a result payload "
-                                     "with a unit key")
+            raise HTTPError(400, "complete needs a result payload "
+                                 "with a unit key")
         now = self.clock()
         with self._lock:
             self._expire_stale(now)
             key = self._token_keys.get(token)
             if key is None:
-                raise ProtocolError(404, f"unknown lease {token!r}")
+                raise HTTPError(404, f"unknown lease {token!r}")
             if result["key"] != key:
-                raise ProtocolError(
+                raise HTTPError(
                     400, f"lease {token!r} covers unit {key}, not "
                          f"{result['key']}")
             lease = self._leases.pop(token, None)
@@ -187,7 +188,7 @@ class FabricCoordinator:
             self._expire_stale(now)
             key = self._token_keys.get(token)
             if key is None:
-                raise ProtocolError(404, f"unknown lease {token!r}")
+                raise HTTPError(404, f"unknown lease {token!r}")
             self._leases.pop(token, None)
             if key not in self.index.completed:
                 self.index.fail(key, error)

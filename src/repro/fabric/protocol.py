@@ -1,4 +1,4 @@
-"""The fabric wire protocol: constants, errors, and metric buckets.
+"""The fabric wire protocol: constants and metric buckets.
 
 The coordinator and its workers speak a four-verb JSON protocol over
 HTTP (all POST, all ``application/json``):
@@ -43,14 +43,5 @@ LEASE_HOLD_BUCKETS_MS = (
 )
 
 
-class ProtocolError(Exception):
-    """A fabric protocol violation (status + one-line message)."""
-
-    def __init__(self, status, message):
-        super().__init__(message)
-        self.status = int(status)
-        self.message = message
-
-
 __all__ = ["DEFAULT_LEASE_SECONDS", "DEFAULT_MAX_ATTEMPTS",
-           "LEASE_HOLD_BUCKETS_MS", "ProtocolError"]
+           "LEASE_HOLD_BUCKETS_MS"]

@@ -2,9 +2,9 @@
 
 Mirrors the shape of :mod:`repro.ingest.server`: all routing and
 payload assembly live in :class:`FabricService.handle`, a pure
-``(method, path, params, body) -> (status, payload)`` function that is
-unit-testable without a socket; :func:`make_fabric_server` wraps it in
-a ``ThreadingHTTPServer``.
+``(method, path, params, body, headers) -> (status, payload)`` function
+that is unit-testable without a socket; :func:`make_fabric_server` runs
+it on the shared :mod:`repro.http` server.
 
 Surface:
 
@@ -26,25 +26,13 @@ Boot activates an enabled observability context if none is active, so
 """
 
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
-from repro import obs
-from repro.fabric.protocol import ProtocolError
-from repro.obs.telemetry import render_prometheus
-
-#: maximum accepted request body (a pickled unit result or one blob).
-MAX_BODY_BYTES = 256 * 1024 * 1024
+from repro import http, obs
+from repro.http import HTTPError
+from repro.store.artifact import ArtifactStore
 
 #: content keys are sha256 hex digests.
 _KEY_LENGTH = 64
-
-
-class RawBytes:
-    """A non-JSON response body (a raw ``.art`` blob)."""
-
-    def __init__(self, blob):
-        self.blob = blob
 
 
 def _is_key(text):
@@ -61,27 +49,33 @@ class FabricService:
 
     # -- routing --------------------------------------------------------------
 
-    def handle(self, method, path, params=None, body=None):
+    def handle(self, method, path, params=None, body=None, headers=None):
         """Answer one request; returns ``(status, payload)``.
 
-        ``payload`` is a JSON-serializable dict, or a :class:`RawBytes`
-        for blob downloads.  Protocol violations surface as their HTTP
-        status with a one-line ``{"error": ...}`` body.
+        ``payload`` is a JSON-serializable dict, or a
+        :class:`~repro.http.Body` for blob downloads and the Prometheus
+        page.  Protocol violations surface as their HTTP status with a
+        one-line ``{"error": ...}`` body.
         """
         params = params or {}
         try:
             if path.startswith("/blob/"):
                 return self._blob(method, path[len("/blob/"):], body)
             if method == "GET":
-                return self._get(path, params)
+                return self._get(path, params, headers)
             if method == "POST":
                 return self._post(path, body)
-            raise ProtocolError(405, f"method {method} not allowed")
-        except ProtocolError as exc:
-            obs.incr("fabric.errors", key=str(exc.status))
-            return exc.status, {"error": exc.message}
+            raise HTTPError(405, f"method {method} not allowed")
+        except HTTPError as exc:
+            return exc.status, self.error(exc.status, exc.message)
 
-    def _get(self, path, params):
+    @staticmethod
+    def error(status, message):
+        """Count one error response and build its JSON body."""
+        obs.incr("fabric.errors", key=str(status))
+        return {"error": message}
+
+    def _get(self, path, params, headers):
         if path == "/fabric/ping":
             return 200, {"ok": True,
                          "campaign_id": self.coordinator.index
@@ -89,8 +83,9 @@ class FabricService:
         if path == "/fabric/status":
             return 200, self.coordinator.status()
         if path == "/metrics":
-            return self._metrics(params)
-        raise ProtocolError(404, f"unknown route {path!r}")
+            return 200, http.metrics(params,
+                                     (headers or {}).get("Accept"))
+        raise HTTPError(404, f"unknown route {path!r}")
 
     def _post(self, path, body):
         payload = self._json_body(body)
@@ -105,134 +100,70 @@ class FabricService:
         if path == "/fabric/fail":
             return 200, self.coordinator.fail(
                 self._token(payload), payload.get("error", "unknown"))
-        raise ProtocolError(404, f"unknown route {path!r}")
+        raise HTTPError(404, f"unknown route {path!r}")
 
     @staticmethod
     def _json_body(body):
         try:
             payload = json.loads((body or b"").decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
-            raise ProtocolError(400, "request body is not valid JSON") \
-                from None
+            raise HTTPError(400, "request body is not valid JSON") from None
         if not isinstance(payload, dict):
-            raise ProtocolError(400, "request body must be a JSON "
-                                     "object")
+            raise HTTPError(400, "request body must be a JSON object")
         return payload
 
     @staticmethod
     def _token(payload):
         token = payload.get("lease")
         if not isinstance(token, str) or not token:
-            raise ProtocolError(400, "request needs a lease token")
+            raise HTTPError(400, "request needs a lease token")
         return token
-
-    # -- metrics --------------------------------------------------------------
-
-    @staticmethod
-    def _metrics(params):
-        fmt = (params.get("format") or ["json"])[-1]
-        if fmt not in ("json", "prom"):
-            raise ProtocolError(400, f"unknown metrics format {fmt!r} "
-                                     f"(expected json or prom)")
-        ctx = obs.current()
-        snapshot = ctx.metrics.snapshot() if ctx.enabled else {}
-        if fmt == "prom":
-            return 200, RawBytes(
-                render_prometheus(snapshot).encode("utf-8"))
-        return 200, {"enabled": ctx.enabled, "metrics": snapshot}
 
     # -- the blob store -------------------------------------------------------
 
     def _blob(self, method, rest, body):
         if self.blob_store is None:
-            raise ProtocolError(503, "this coordinator serves no blob "
-                                     "store")
+            raise HTTPError(503, "this coordinator serves no blob store")
         if method == "GET" and rest == "stats":
             return 200, self.blob_store.stats()
         if not _is_key(rest):
-            raise ProtocolError(400, f"malformed blob key {rest!r}")
+            raise HTTPError(400, f"malformed blob key {rest!r}")
         if method == "GET":
             raw = self.blob_store.read_raw(rest)
             if raw is None:
                 obs.incr("fabric.blob_misses")
                 return 404, {"error": f"no blob {rest}"}
             obs.incr("fabric.blob_reads")
-            return 200, RawBytes(raw)
+            return 200, http.Body(raw)
         if method == "PUT":
             if not self.blob_store.write_raw(rest, body or b""):
-                raise ProtocolError(
+                raise HTTPError(
                     400, "blob rejected: bad magic, checksum "
                          "mismatch, or key/header mismatch")
             obs.incr("fabric.blob_writes")
             return 200, {"ok": True, "key": rest}
-        raise ProtocolError(405, f"method {method} not allowed on "
-                                 f"/blob/")
+        raise HTTPError(405, f"method {method} not allowed on /blob/")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP shim over :meth:`FabricService.handle`."""
+def make_fabric_server(coordinator, host="127.0.0.1", port=0):
+    """The HTTP server for one campaign (port 0: ephemeral).
 
-    #: set by :func:`make_fabric_server`.
-    service = None
-    protocol_version = "HTTP/1.1"
-
-    def _body(self):
-        """The request body; :class:`ProtocolError` on a bad length."""
-        header = self.headers.get("Content-Length") or "0"
-        if not (header.isascii() and header.isdigit()):
-            raise ProtocolError(400, f"malformed Content-Length "
-                                     f"{header[:32]!r}")
-        length = int(header)
-        if length > MAX_BODY_BYTES:
-            raise ProtocolError(413, "request body too large")
-        return self.rfile.read(length) if length else b""
-
-    def _dispatch(self, method):
-        parsed = urlparse(self.path)
-        try:
-            body = self._body()
-        except ProtocolError as exc:
-            obs.incr("fabric.errors", key=str(exc.status))
-            status, payload = exc.status, {"error": exc.message}
-            # the unread body would be parsed as the next request
-            self.close_connection = True
-        else:
-            status, payload = self.service.handle(
-                method, parsed.path,
-                parse_qs(parsed.query, keep_blank_values=True), body)
-        if isinstance(payload, RawBytes):
-            data = payload.blob
-            content_type = "application/octet-stream"
-        else:
-            data = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def do_GET(self):  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self._dispatch("POST")
-
-    def do_PUT(self):  # noqa: N802 (http.server API)
-        self._dispatch("PUT")
-
-    def log_message(self, format, *args):
-        """Suppress per-request stderr noise; obs counters cover it."""
-
-
-def make_fabric_server(coordinator, blob_store=None, host="127.0.0.1",
-                       port=0):
-    """A ``ThreadingHTTPServer`` for one campaign (port 0: ephemeral).
-
-    Returns ``(server, service)``; the caller owns
-    ``server.serve_forever()`` / ``server.shutdown()``.
+    A self-served store spec (``http`` + ``dir``, no ``url``; see
+    :mod:`repro.store.backend`) is served from ``dir`` on this server's
+    ``/blob/`` routes, and the coordinator's spec resolves to this
+    server's URL now that the port is known.  Returns ``(server,
+    service)``; the caller runs the server, with ``serve_forever()`` or
+    under :func:`repro.http.serving`.
     """
     obs.ensure_enabled()
-    service = FabricService(coordinator, blob_store=blob_store)
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler), service
+    spec = coordinator.store_spec or {}
+    self_served = spec.get("backend") == "http" and not spec.get("url")
+    service = FabricService(
+        coordinator,
+        blob_store=ArtifactStore(spec["dir"]) if self_served else None)
+    # handle is looked up per request, so a patched instance takes effect
+    server = http.make_server(lambda *request: service.handle(*request),
+                              service.error, host, port)
+    if self_served:
+        coordinator.store_spec = {"backend": "http", "url": server.url}
+    return server, service

@@ -34,10 +34,9 @@ interpreter.
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 
 from repro import obs
+from repro.http import TransportError, request
 from repro.sweep.worker import run_unit
 
 
@@ -115,25 +114,22 @@ class FabricWorker:
         """POST one JSON message; returns ``(status, payload dict)``.
 
         Transport failure returns ``(None, {})`` — the loop counts
-        those and gives up only after ``max_errors`` in a row.
+        those and gives up only after ``max_errors`` in a row.  A reply
+        that is not a JSON object reads as ``{}``.
         """
-        body = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=body, method="POST",
-            headers={"Content-Type": "application/json"})
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as resp:
-                return resp.status, json.loads(
-                    resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                detail = json.loads(exc.read().decode("utf-8"))
-            except Exception:
-                detail = {}
-            return exc.code, detail
-        except OSError:
+            status, body = request(
+                "POST", f"{self.base_url}{path}",
+                body=json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                timeout=self.timeout)
+        except TransportError:
             return None, {}
+        try:
+            reply = json.loads(body)
+        except ValueError:
+            reply = {}
+        return status, reply if isinstance(reply, dict) else {}
 
     # -- one unit -------------------------------------------------------------
 
@@ -235,12 +231,11 @@ def worker_main(base_url, worker_id="worker", jobs=1, max_units=None,
     """
     base_url = str(base_url).rstrip("/")
     try:
-        with urllib.request.urlopen(f"{base_url}/fabric/ping",
-                                    timeout=10.0):
-            pass
-    except OSError:
-        raise ConnectionError(
-            f"no fabric coordinator at {base_url}") from None
+        status, _ = request("GET", f"{base_url}/fabric/ping")
+    except TransportError:
+        status = None
+    if status != 200:
+        raise ConnectionError(f"no fabric coordinator at {base_url}")
     worker = FabricWorker(base_url, worker_id=worker_id, jobs=jobs,
                           max_units=max_units,
                           poll_seconds=poll_seconds)

@@ -15,8 +15,8 @@ stream is absorbed.
 
 from repro.ingest.ingester import CHECKPOINT_STAGE, Ingester
 from repro.ingest.loadgen import run_load
-from repro.ingest.server import (API_VERSION, PlainText, QueryService,
-                                 make_server, serve_study)
+from repro.ingest.server import (API_VERSION, QueryService, make_server,
+                                 serve_study)
 from repro.ingest.snapshots import ANALYSIS_NAMES, fingerprint_id
 from repro.ingest.stream import (DEFAULT_WINDOW_SECONDS, TimelineStream,
                                  Window)
@@ -27,7 +27,6 @@ __all__ = [
     "CHECKPOINT_STAGE",
     "DEFAULT_WINDOW_SECONDS",
     "Ingester",
-    "PlainText",
     "QueryService",
     "TimelineStream",
     "Window",

@@ -1,10 +1,11 @@
 """A stdlib load generator for the ``repro serve`` query API.
 
 Drives a warm server with a deterministic round-robin mix of the hot
-endpoints from ``workers`` threads (``urllib`` clients), recording
-per-request wall latencies.  The summary — sustained queries/sec plus
-p50/p99 latency — is what ``benchmarks/bench_serve.py`` folds into
-``BENCH_serve.json`` for the bench gate.
+endpoints from ``workers`` threads (:func:`repro.http.request`
+clients), recording per-request wall latencies.  The summary —
+sustained queries/sec plus p50/p99 latency — is what
+``benchmarks/bench_serve.py`` folds into ``BENCH_serve.json`` for the
+bench gate.
 
 No randomness: the request mix is a fixed rotation, so two runs against
 the same server issue the identical request sequence.
@@ -13,8 +14,8 @@ the same server issue the identical request sequence.
 import json
 import threading
 import time
-from urllib.error import HTTPError
-from urllib.request import urlopen
+
+from repro.http import TransportError, request
 
 #: the hot-path request mix, rotated round-robin by every worker.
 DEFAULT_MIX = (
@@ -74,11 +75,12 @@ def _worker(base_url, mix, offset, requests, latencies, errors, lock):
         url = base_url + mix[(offset + i) % len(mix)]
         begin = time.perf_counter()
         try:
-            with urlopen(url, timeout=10) as response:
-                payload = json.loads(response.read())
-                if "data" not in payload:
-                    local_errors += 1
-        except (HTTPError, OSError, ValueError):
+            status, body = request("GET", url, timeout=10)
+            payload = json.loads(body)
+            if status != 200 or not isinstance(payload, dict) \
+                    or "data" not in payload:
+                local_errors += 1
+        except (TransportError, ValueError):
             local_errors += 1
         local_latencies.append(
             (time.perf_counter() - begin) * 1000.0)

@@ -1,19 +1,21 @@
 """``repro serve`` — the warm HTTP/JSON query API over ingested state.
 
-A stdlib-only (``http.server``) threaded service answering the paper's
-hot queries from snapshots cached at warm-up (the
-:mod:`repro.ingest.snapshots` analyses over the ingester's dataset) —
-no pipeline run per request.  Routing and payload assembly live in
-:class:`QueryService.handle`, a pure ``(path, params) -> (status,
-payload)`` function, so every endpoint is unit-testable without a
-socket; :func:`make_server` wraps it in a ``ThreadingHTTPServer``.
+A threaded service answering the paper's hot queries from snapshots
+cached at warm-up (the :mod:`repro.ingest.snapshots` analyses over the
+ingester's dataset) — no pipeline run per request.  Routing and payload
+assembly live in :class:`QueryService.handle`, a pure ``(path, params)
+-> (status, payload)`` function, so every endpoint is unit-testable
+without a socket; :func:`make_server` runs :meth:`QueryService.app` on
+the shared :mod:`repro.http` server, whose handler owns the transport
+rules (idle timeout, body checks, JSON errors).  The API is read-only:
+any method but ``GET`` is a 405.
 
 Every response — success or error — is a versioned envelope::
 
     {"schema_version": 1, "api_version": "v1", "endpoint": ...,
      "data": {...}}                     # 200
     {"schema_version": 1, "api_version": "v1",
-     "error": {"status": 404, "message": ...}}   # 4xx
+     "error": {"status": 404, "message": ...}}   # 4xx, 5xx
 
 Endpoints:
 
@@ -40,16 +42,14 @@ recorder event.  Under an injected clock the whole plane is
 deterministic; see :mod:`repro.obs.telemetry`.
 """
 
-import json
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
-from repro import obs
+from repro import http, obs
 from repro.core.chains import validate_all
 from repro.core.issuers import leaf_issuer_org
+from repro.http import HTTPError
 from repro.inspector.timeline import PROBE_TIME
-from repro.obs.telemetry import ServiceTelemetry, render_prometheus
+from repro.obs.telemetry import ServiceTelemetry
 from repro.schema import versioned
 
 #: the query API version every ``/v1/...`` route speaks.
@@ -62,43 +62,19 @@ def envelope(endpoint, data):
                       "endpoint": endpoint, "data": data})
 
 
-def error_envelope(status, message):
-    """The versioned error envelope (404/400/...)."""
-    return versioned({"api_version": API_VERSION,
-                      "error": {"status": status, "message": message}})
-
-
-class QueryError(Exception):
-    """An HTTP error response (status + message)."""
-
-    def __init__(self, status, message):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-class PlainText:
-    """A non-JSON response body (the Prometheus exposition page)."""
-
-    #: the content type Prometheus scrapers expect.
-    PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
-
-    def __init__(self, text, content_type=PROMETHEUS):
-        self.text = text
-        self.content_type = content_type
-
-
-def wants_prometheus(accept):
-    """Whether an ``Accept`` header asks for exposition text.
-
-    ``text/plain`` anywhere in the header wins unless JSON is also
-    explicitly listed (then the JSON default stands) — ``*/*`` alone
-    keeps the JSON default, so browsers and ``urllib`` see JSON and
-    ``curl -H 'Accept: text/plain'`` (a scraper) sees exposition text.
-    """
-    if not accept:
-        return False
-    return "text/plain" in accept and "application/json" not in accept
+def _limit(params):
+    """The ``limit`` query param as an integer >= 0, or ``None``."""
+    limit = http.param(params, "limit")
+    if limit is None:
+        return None
+    try:
+        limit = int(limit)
+    except ValueError:
+        raise HTTPError(400, f"limit must be an integer, "
+                             f"got {limit!r}") from None
+    if limit < 0:
+        raise HTTPError(400, "limit must be >= 0")
+    return limit
 
 
 class QueryService:
@@ -183,31 +159,28 @@ class QueryService:
 
         ``params`` is a ``{name: [values]}`` query mapping (as produced
         by ``urllib.parse.parse_qs``); ``payload`` is a JSON envelope
-        dict, or a :class:`PlainText` for non-JSON bodies (the
+        dict, or a :class:`~repro.http.Body` for non-JSON bodies (the
         Prometheus page).  ``accept`` is the request's ``Accept``
         header, used only for ``/metrics`` content negotiation.
         """
         params = params or {}
-        if path == "/metrics" and "format" not in params \
-                and wants_prometheus(accept):
-            params = dict(params, format=["prom"])
         handler = self.routes().get(path)
         if handler is None:
-            obs.incr("serve.errors", key="404")
-            return 404, error_envelope(404, f"unknown route {path!r}")
+            return 404, self.error(404, f"unknown route {path!r}")
         try:
             allowed = getattr(handler, "params", ())
             unknown = sorted(set(params) - set(allowed))
             if unknown:
-                raise QueryError(
+                raise HTTPError(
                     400, f"unknown query parameter(s): "
                          f"{', '.join(unknown)}")
-            data = handler(params)
-        except QueryError as exc:
-            obs.incr("serve.errors", key=str(exc.status))
-            return exc.status, error_envelope(exc.status, exc.message)
+            # /metrics alone negotiates its format on the Accept header.
+            data = handler(params, accept) if path == "/metrics" \
+                else handler(params)
+        except HTTPError as exc:
+            return exc.status, self.error(exc.status, exc.message)
         obs.incr("serve.requests", key=path)
-        if isinstance(data, PlainText):
+        if isinstance(data, http.Body):
             return 200, data
         return 200, envelope(path, data)
 
@@ -229,25 +202,22 @@ class QueryService:
             # scanner cannot grow the metric namespace unboundedly.
             route = path if path in self.routes() else "unknown"
             self.telemetry.request_finished(route, status, started)
-        if isinstance(payload, PlainText):
-            return status, payload.text.encode("utf-8"), \
-                payload.content_type
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return status, body, "application/json"
+        return (status,) + http.encode(payload)
+
+    def app(self, method, path, params, body, headers):
+        """The :func:`repro.http.make_server` app: ``GET`` or a 405."""
+        if method != "GET":
+            return 405, self.error(405, f"method {method} not allowed")
+        status, data, content_type = self.handle_request(
+            path, params, accept=headers.get("Accept"))
+        return status, http.Body(data, content_type)
 
     @staticmethod
-    def _param(params, name):
-        """The single value of query param ``name``, or ``None``.
-
-        Empty and repeated values are malformed (400).
-        """
-        if name not in params:
-            return None
-        values = [value for value in params[name] if value]
-        if len(values) != 1:
-            raise QueryError(400, f"parameter {name!r} needs exactly "
-                                  f"one non-empty value")
-        return values[0]
+    def error(status, message):
+        """Count one error response; its versioned error envelope."""
+        obs.incr("serve.errors", key=str(status))
+        return versioned({"api_version": API_VERSION,
+                          "error": {"status": status, "message": message}})
 
     # -- endpoints ------------------------------------------------------------
 
@@ -263,16 +233,8 @@ class QueryService:
         return status
     _healthz.params = ()
 
-    def _metrics(self, params):
-        fmt = self._param(params, "format") or "json"
-        if fmt not in ("json", "prom"):
-            raise QueryError(400, f"unknown metrics format {fmt!r} "
-                                  f"(expected json or prom)")
-        ctx = obs.current()
-        snapshot = ctx.metrics.snapshot() if ctx.enabled else {}
-        if fmt == "prom":
-            return PlainText(render_prometheus(snapshot))
-        return {"enabled": ctx.enabled, "metrics": snapshot}
+    def _metrics(self, params, accept=None):
+        return http.metrics(params, accept)
     _metrics.params = ("format",)
 
     def _slo(self, params):
@@ -282,16 +244,9 @@ class QueryService:
 
     def _debug_recent(self, params):
         recorder = self.telemetry.recorder
-        limit = self._param(params, "limit")
+        limit = _limit(params)
         events = recorder.snapshot()
         if limit is not None:
-            try:
-                limit = int(limit)
-            except ValueError:
-                raise QueryError(400, f"limit must be an integer, "
-                                      f"got {limit!r}") from None
-            if limit < 0:
-                raise QueryError(400, "limit must be >= 0")
             events = events[-limit:] if limit else []
         return {"capacity": recorder.capacity,
                 "events_seen": recorder.events_seen,
@@ -300,11 +255,11 @@ class QueryService:
 
     def _doc(self, params):
         snapshot = self.snapshots["doc"]
-        vendor = self._param(params, "vendor")
+        vendor = http.param(params, "vendor")
         if vendor is None:
             return snapshot
         if vendor not in snapshot["doc_vendor"]:
-            raise QueryError(404, f"unknown vendor {vendor!r}")
+            raise HTTPError(404, f"unknown vendor {vendor!r}")
         return {"vendor": vendor,
                 "doc_vendor": snapshot["doc_vendor"][vendor],
                 "doc_device": snapshot["doc_device"][vendor]}
@@ -312,23 +267,16 @@ class QueryService:
 
     def _fingerprints(self, params):
         snapshot = self.snapshots["fingerprint_index"]
-        fp_id = self._param(params, "id")
+        fp_id = http.param(params, "id")
         if fp_id is not None:
             entry = snapshot["fingerprints"].get(fp_id)
             if entry is None:
-                raise QueryError(404,
-                                 f"unknown fingerprint id {fp_id!r}")
+                raise HTTPError(404,
+                                f"unknown fingerprint id {fp_id!r}")
             return entry
-        limit = self._param(params, "limit")
+        limit = _limit(params)
         ids = sorted(snapshot["fingerprints"])
         if limit is not None:
-            try:
-                limit = int(limit)
-            except ValueError:
-                raise QueryError(400, f"limit must be an integer, "
-                                      f"got {limit!r}") from None
-            if limit < 0:
-                raise QueryError(400, "limit must be >= 0")
             ids = ids[:limit]
         return {"fingerprint_count": snapshot["fingerprint_count"],
                 "ids": ids}
@@ -340,12 +288,12 @@ class QueryService:
 
     def _issuers(self, params):
         snapshot = self.snapshots["issuer_shares"]
-        vendor = self._param(params, "vendor")
+        vendor = http.param(params, "vendor")
         if vendor is None:
             return snapshot
         column = snapshot["matrix"].get(vendor)
         if column is None:
-            raise QueryError(404, f"unknown vendor {vendor!r}")
+            raise HTTPError(404, f"unknown vendor {vendor!r}")
         total = sum(column.values())
         return {"vendor": vendor,
                 "issuers": {org: count / total
@@ -353,7 +301,7 @@ class QueryService:
     _issuers.params = ("vendor",)
 
     def _verdicts_route(self, params):
-        sni = self._param(params, "sni")
+        sni = http.param(params, "sni")
         if sni is None:
             counts = {}
             for verdict in self.verdicts.values():
@@ -363,46 +311,22 @@ class QueryService:
                     "status_counts": dict(sorted(counts.items()))}
         verdict = self.verdicts.get(sni)
         if verdict is None:
-            raise QueryError(404, f"unknown sni {sni!r}")
+            raise HTTPError(404, f"unknown sni {sni!r}")
         return verdict
     _verdicts_route.params = ("sni",)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP shim over :meth:`QueryService.handle`."""
-
-    #: set by :func:`make_server`.
-    service = None
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self):  # noqa: N802 (http.server API)
-        parsed = urlparse(self.path)
-        status, body, content_type = self.service.handle_request(
-            parsed.path,
-            parse_qs(parsed.query, keep_blank_values=True),
-            accept=self.headers.get("Accept"))
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format, *args):
-        """Suppress per-request stderr noise; obs counters cover it."""
-
-
 def make_server(service, host="127.0.0.1", port=0):
-    """A ``ThreadingHTTPServer`` bound to ``service`` (port 0: ephemeral)."""
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
+    """The query API's HTTP server over ``service`` (port 0: ephemeral)."""
+    return http.make_server(service.app, service.error, host, port)
 
 
 def serve_study(study, host="127.0.0.1", port=0, window_seconds=None,
                 store=None, compact_every=4, clock=time.perf_counter):
     """Warm a query service over ``study`` and bind an HTTP server.
 
-    Returns ``(server, service)``; the caller owns
-    ``server.serve_forever()`` / ``server.shutdown()``.
+    Returns ``(server, service)``; the caller runs the server, with
+    ``serve_forever()`` or under :func:`repro.http.serving`.
 
     Boot activates an enabled observability context if none is active,
     so ``/metrics`` always has a live registry behind it — a server

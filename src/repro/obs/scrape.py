@@ -4,9 +4,10 @@ The ``repro obs`` CLI group inspects a *running* ``repro serve``
 process from the outside, the way an operator (or a Prometheus scraper)
 would — over plain HTTP, no shared state:
 
-- :func:`scrape` — one GET against the server, JSON or exposition
-  text, with connection/HTTP failures folded into a single
-  :class:`ScrapeError` whose message is a one-line diagnosis;
+- :func:`scrape` — one GET against the server (through
+  :func:`repro.http.request`), JSON or exposition text, with
+  connection/HTTP failures folded into a single :class:`ScrapeError`
+  whose message is a one-line diagnosis;
 - :func:`render_top` — a text dashboard of one poll (health, SLO
   verdicts, request counters, ingest lag, latency histograms), plus
   request-rate deltas against the previous poll;
@@ -18,9 +19,8 @@ Everything here returns data or strings — printing belongs to the CLI.
 """
 
 import json
-import urllib.error
-import urllib.request
 
+from repro.http import TransportError, request
 from repro.obs.metrics import flatten_snapshot
 from repro.obs.telemetry import _le_bound
 
@@ -47,19 +47,16 @@ def scrape(base_url, path, timeout=10, as_text=False):
     """
     url = base_url.rstrip("/") + path
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            body = response.read()
-    except urllib.error.HTTPError as exc:
-        raise ScrapeError(f"{url}: HTTP {exc.code}") from None
-    except OSError as exc:
-        reason = getattr(exc, "reason", None) or exc
-        raise ScrapeError(f"{url}: {reason}") from None
-    if as_text:
-        return body.decode("utf-8")
+        status, body = request("GET", url, timeout=timeout)
+    except TransportError as exc:
+        raise ScrapeError(str(exc)) from None
+    if status != 200:
+        raise ScrapeError(f"{url}: HTTP {status}")
     try:
-        return json.loads(body)
+        return body.decode("utf-8") if as_text else json.loads(body)
     except ValueError:
-        raise ScrapeError(f"{url}: response is not JSON") from None
+        kind = "UTF-8 text" if as_text else "JSON"
+        raise ScrapeError(f"{url}: response is not {kind}") from None
 
 
 def load_export(path):

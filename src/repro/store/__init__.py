@@ -24,12 +24,14 @@ reproduction the same shape:
   sweep (:mod:`repro.sweep`) writes after every finished unit, so a
   killed campaign resumes by re-running only incomplete configs.
 - :class:`~repro.store.remote.RemoteArtifactStore` — the HTTP client for
-  a store served by the fabric coordinator (:mod:`repro.fabric`): the
-  same ``.art`` wire format and integrity checks as the local store,
-  fronted by a deterministic in-memory LRU, with every defect degrading
-  to a retriable miss.  :func:`~repro.store.backend.store_from_spec`
-  turns the JSON backend spec a campaign ledger records into whichever
-  store it names.
+  a store served by the fabric coordinator (:mod:`repro.fabric`).  It
+  shares the local store's ``get``/``put``/provenance code
+  (:class:`~repro.store.artifact.StoreBase`) and adds only the
+  transport: GET/PUT over :mod:`repro.http` behind a deterministic
+  in-memory LRU that admits only checked blobs.  Every read is checked
+  before use, so every defect degrades to a retriable miss.
+  :func:`~repro.store.backend.store_from_spec` turns the JSON backend
+  spec a campaign ledger records into whichever store it names.
 """
 
 from repro.store.artifact import MISS, ArtifactStore, blob_key_of, \

@@ -148,12 +148,20 @@ def blob_key_of(raw):
                        header["version"])
 
 
-class ArtifactStore:
-    """A persistent content-addressed cache of study artifacts."""
+class StoreBase:
+    """The store surface both backends share: get/put over ``.art`` blobs.
 
-    def __init__(self, root, version=None):
+    A backend supplies hooks over raw blobs: ``_read(key)`` returns the
+    blob stored under ``key`` or ``None``; ``_write(key, blob)`` stores
+    one and returns what :meth:`put` returns (``None`` on failure);
+    ``_forget(key)`` drops a blob that failed its checks; and the
+    optional ``_verified(key, blob, stage)`` hears of one that passed.
+    Every blob ``_read`` returns is decoded and checked here before use,
+    so a defective one is a miss — never a wrong value.
+    """
+
+    def __init__(self, version=None):
         from repro import __version__
-        self.root = Path(root)
         self.version = __version__ if version is None else str(version)
         self._lock = threading.Lock()
         #: per-run cache traffic, by stage name (for provenance).
@@ -162,70 +170,52 @@ class ArtifactStore:
         self.written_stages = []
         self.error_stages = []
 
-    # -- keying ---------------------------------------------------------------
-
     def key(self, config, stage):
         """The content key of ``(config, stage)`` under this version."""
         return content_key(config.artifact_digest(), stage, self.version)
 
-    def path_for(self, config, stage):
-        return self.blob_path(self.key(config, stage))
-
-    def blob_path(self, key):
-        """Where the raw ``.art`` blob for ``key`` lives under this root."""
-        return self.root / key[:2] / f"{key}{_SUFFIX}"
-
-    # -- read -----------------------------------------------------------------
-
     def get(self, config, stage):
         """The cached artifact for ``(config, stage)``, or :data:`MISS`.
 
-        Any defect — absent entry, unreadable file, header mismatch,
+        Any defect — absent or unreadable blob, header mismatch,
         checksum failure, unpicklable payload — is a miss; defective
-        entries are deleted so they are rebuilt cleanly.
+        blobs are forgotten so they are rebuilt cleanly.
         """
-        path = self.path_for(config, stage)
+        key = self.key(config, stage)
         with obs.span("store.get") as span:
-            try:
-                raw = path.read_bytes()
-            except OSError:
+            raw = self._read(key)
+            if raw is None:
                 return self._miss(stage)
-            value = self._decode(raw, config, stage)
+            value = decode_entry(raw, {"artifact": config.artifact_digest(),
+                                       "stage": stage,
+                                       "version": self.version})
             if value is MISS:
-                self._discard(path)
+                self._forget(key)
                 obs.incr("store.corrupt", key=stage)
                 return self._miss(stage)
             span.incr("bytes", len(raw))
-        with self._lock:
-            self.hit_stages.append(stage)
-        obs.incr("store.hits", key=stage)
+            self._verified(key, raw, stage)
+        self._record(self.hit_stages, "store.hits", stage)
         return value
 
-    def _decode(self, raw, config, stage):
-        return decode_entry(raw, {"artifact": config.artifact_digest(),
-                                  "stage": stage,
-                                  "version": self.version})
+    def _verified(self, key, raw, stage):
+        """Hook: the blob ``_read`` returned for ``key`` passed its checks."""
 
     def _miss(self, stage):
-        with self._lock:
-            self.miss_stages.append(stage)
-        obs.incr("store.misses", key=stage)
+        self._record(self.miss_stages, "store.misses", stage)
         return MISS
 
-    @staticmethod
-    def _discard(path):
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    # -- write ----------------------------------------------------------------
+    def _record(self, stages, counter, stage):
+        with self._lock:
+            stages.append(stage)
+        obs.incr(counter, key=stage)
 
     def put(self, config, stage, value):
-        """Cache ``value`` for ``(config, stage)``; returns its path.
+        """Cache ``value`` for ``(config, stage)``.
 
-        Caching is best-effort: an unpicklable value (or an unwritable
-        cache directory) is counted and skipped, never fatal — the
+        Returns where it landed (the backend's ``_write`` result), or
+        ``None``.  Caching is best-effort: an unpicklable value or a
+        failed write is counted and skipped, never fatal — the
         pipeline's correctness must not depend on the cache.
         """
         with obs.span("store.put") as span:
@@ -233,27 +223,54 @@ class ArtifactStore:
                 payload = pickle.dumps(value,
                                        protocol=pickle.HIGHEST_PROTOCOL)
             except Exception:
-                with self._lock:
-                    self.error_stages.append(stage)
-                obs.incr("store.errors", key=stage)
-                return None
-            blob = encode_entry(config.artifact_digest(), stage,
-                                self.version, payload)
-            path = self.path_for(config, stage)
-            if not self._write_blob(path, blob):
-                with self._lock:
-                    self.error_stages.append(stage)
-                obs.incr("store.errors", key=stage)
+                where = None
+            else:
+                blob = encode_entry(config.artifact_digest(), stage,
+                                    self.version, payload)
+                where = self._write(self.key(config, stage), blob)
+            if where is None:
+                self._record(self.error_stages, "store.errors", stage)
                 return None
             span.incr("bytes", len(blob))
-        with self._lock:
-            self.written_stages.append(stage)
-        obs.incr("store.writes", key=stage)
-        return path
+        self._record(self.written_stages, "store.writes", stage)
+        return where
 
-    @staticmethod
-    def _write_blob(path, blob):
-        """Atomically write one blob (temp file + rename); False on error."""
+    def get_or_compute(self, config, stage, compute):
+        """``get``, falling back to ``compute()`` + ``put`` on a miss."""
+        value = self.get(config, stage)
+        if value is MISS:
+            value = compute()
+            self.put(config, stage, value)
+        return value
+
+    def provenance(self):
+        """This run's cache traffic, for the run manifest."""
+        with self._lock:
+            return {
+                "version": self.version,
+                "hits": sorted(self.hit_stages),
+                "misses": sorted(self.miss_stages),
+                "writes": sorted(self.written_stages),
+                "errors": sorted(self.error_stages),
+            }
+
+
+class ArtifactStore(StoreBase):
+    """A persistent content-addressed cache of study artifacts."""
+
+    def __init__(self, root, version=None):
+        super().__init__(version)
+        self.root = Path(root)
+
+    def blob_path(self, key):
+        """Where the raw ``.art`` blob for ``key`` lives under this root."""
+        return self.root / key[:2] / f"{key}{_SUFFIX}"
+
+    # -- the store hooks: one file per blob -----------------------------------
+
+    def _write(self, key, blob):
+        """Atomically write one blob (temp file + rename); its path."""
+        path = self.blob_path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             handle = tempfile.NamedTemporaryFile(
@@ -262,8 +279,18 @@ class ArtifactStore:
                 handle.write(blob)
             os.replace(handle.name, path)
         except OSError:
-            return False
-        return True
+            return None
+        return path
+
+    def _forget(self, key):
+        self._discard(self.blob_path(key))
+
+    @staticmethod
+    def _discard(path):
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
     # -- raw blob access (the remote-store server side) -----------------------
 
@@ -273,6 +300,8 @@ class ArtifactStore:
             return self.blob_path(key).read_bytes()
         except OSError:
             return None
+
+    _read = read_raw  # the store hook
 
     def write_raw(self, key, raw):
         """Store an uploaded blob after end-to-end validation.
@@ -284,15 +313,7 @@ class ArtifactStore:
         """
         if blob_key_of(raw) != key:
             return False
-        return self._write_blob(self.blob_path(key), raw)
-
-    def get_or_compute(self, config, stage, compute):
-        """``get``, falling back to ``compute()`` + ``put`` on a miss."""
-        value = self.get(config, stage)
-        if value is MISS:
-            value = compute()
-            self.put(config, stage, value)
-        return value
+        return self._write(key, raw) is not None
 
     # -- inspection / maintenance ---------------------------------------------
 
@@ -351,13 +372,4 @@ class ArtifactStore:
         return removed
 
     def provenance(self):
-        """This run's cache traffic, for the run manifest."""
-        with self._lock:
-            return {
-                "dir": str(self.root),
-                "version": self.version,
-                "hits": sorted(self.hit_stages),
-                "misses": sorted(self.miss_stages),
-                "writes": sorted(self.written_stages),
-                "errors": sorted(self.error_stages),
-            }
+        return dict(super().provenance(), dir=str(self.root))

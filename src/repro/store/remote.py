@@ -11,32 +11,33 @@ over a two-verb HTTP interface and workers talk to it through
   content key from the blob's own header and rejects any mismatch, so
   a client can never plant bytes under a key it does not own.
 
-The client mirrors the local store's surface (``key``/``get``/``put``/
-``get_or_compute``/``provenance``) and — crucially — its failure
+The client inherits the local store's whole surface (``key``/``get``/
+``put``/``get_or_compute``/``provenance``, from
+:class:`~repro.store.artifact.StoreBase`) and with it the failure
 discipline: **every defect degrades to a retriable miss, never to wrong
 bytes.**  A truncated response, a checksum mismatch, a version-skewed
 header, an HTTP 5xx, or an unreachable server all count a miss (with a
-taxonomy counter) and the caller recomputes; nothing defective is ever
-admitted to the cache.
+taxonomy counter) and the caller recomputes.  What this module adds is
+only the transport: GET and PUT through :func:`repro.http.request`,
+fronted by a deterministic :class:`BlobCache` LRU, plus :meth:`ping
+<RemoteArtifactStore.ping>`.
 
-A deterministic :class:`BlobCache` LRU fronts the network: hits are
-served from memory without a round trip (a warm worker keeps working
-through a coordinator restart), insertion order + access order fully
-determine eviction order, and only blobs that already passed the
-integrity checks are admitted.
+LRU hits are served from memory without a round trip (a warm worker
+keeps working through a coordinator restart), and insertion order +
+access order fully determine eviction order.  Every read, from the LRU
+or from the network, is decoded and checked before use, and the LRU
+only ever admits blobs that passed: a defective download never evicts
+a good entry, and a corrupt hit cannot happen.
 """
 
-import pickle
 import threading
-import urllib.error
-import urllib.request
 from collections import OrderedDict
 
 from repro import obs
-from repro.store.artifact import MISS, content_key, decode_entry, \
-    encode_entry
+from repro.http import TransportError, request
+from repro.store.artifact import StoreBase
 
-#: default number of verified blobs the client-side LRU holds.
+#: default number of blobs the client-side LRU holds.
 DEFAULT_CACHE_ENTRIES = 64
 
 
@@ -45,7 +46,7 @@ class StoreUnreachable(RuntimeError):
 
 
 class BlobCache:
-    """A deterministic LRU of verified raw blobs, keyed by content key.
+    """A deterministic LRU of raw blobs, keyed by content key.
 
     Eviction is a pure function of the put/get sequence: ``put`` moves
     (or inserts) the key at the most-recent end, ``get`` refreshes it,
@@ -89,183 +90,91 @@ class BlobCache:
             return len(self._entries)
 
 
-class RemoteArtifactStore:
+class RemoteArtifactStore(StoreBase):
     """The HTTP artifact-store client (drop-in for ``ArtifactStore``).
 
     Speaks the same ``.art`` wire format as the local store — the same
     magic line, header, and payload SHA-256 — so digests and cache keys
     are byte-identical across backends, which is what lets a campaign
     move between ``--store-backend local`` and ``http`` mid-flight.
+    :meth:`put` returns the content key where the local store returns a
+    path.
     """
 
     def __init__(self, base_url, version=None,
                  cache_entries=DEFAULT_CACHE_ENTRIES, timeout=10.0):
-        from repro import __version__
+        super().__init__(version)
         self.base_url = str(base_url).rstrip("/")
-        self.version = __version__ if version is None else str(version)
         self.timeout = timeout
         self.cache = BlobCache(cache_entries)
-        self._lock = threading.Lock()
-        #: per-run cache traffic, by stage name (for provenance).
-        self.hit_stages = []
-        self.miss_stages = []
-        self.written_stages = []
-        self.error_stages = []
 
-    # -- keying ---------------------------------------------------------------
+    # -- the store hooks: the LRU, then the network ---------------------------
 
-    def key(self, config, stage):
-        """The content key of ``(config, stage)`` under this version."""
-        return content_key(config.artifact_digest(), stage, self.version)
+    def _read(self, key):
+        blob = self.cache.get(key)
+        if blob is not None:
+            return blob
+        status, blob = self._exchange("GET", key)
+        return blob if status == 200 else None
 
-    def _expected(self, config, stage):
-        return {"artifact": config.artifact_digest(), "stage": stage,
-                "version": self.version}
+    def _verified(self, key, blob, stage):
+        """Count an LRU hit, or admit a download — only once it decoded."""
+        if self.cache.get(key) is blob:  # _read served this very object
+            obs.incr("store.lru_hits", key=stage)
+        else:
+            self.cache.put(key, blob)
 
-    def _url(self, key):
-        return f"{self.base_url}/blob/{key}"
+    def _write(self, key, blob):
+        """Upload one blob; its key, or ``None`` if the server refused.
 
-    # -- transport ------------------------------------------------------------
-
-    def _fetch(self, key, stage):
-        """GET one blob; ``None`` on any failure (404, 5xx, transport)."""
-        try:
-            with urllib.request.urlopen(self._url(key),
-                                        timeout=self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code != 404:
-                obs.incr("store.remote_errors", key=f"get:{exc.code}")
+        A failed upload is *not* admitted to the LRU, so a later ``get``
+        retries the network instead of serving a value the rest of the
+        cluster never saw.
+        """
+        status, _ = self._exchange("PUT", key, blob)
+        if status != 200:
             return None
-        except OSError:
-            obs.incr("store.remote_errors", key="get:unreachable")
-            return None
+        self.cache.put(key, blob)
+        return key
 
-    def _upload(self, key, blob):
-        """PUT one blob; ``True`` iff the server accepted it."""
-        request = urllib.request.Request(
-            self._url(key), data=blob, method="PUT",
-            headers={"Content-Type": "application/octet-stream"})
+    def _forget(self, key):
+        self.cache.discard(key)
+
+    def _exchange(self, method, key, blob=None):
+        """One blob request: ``(status, body)``, ``(None, None)`` if dead.
+
+        Every failure but a plain 404 miss counts in the
+        ``store.remote_errors`` taxonomy.
+        """
+        verb = method.lower()
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return 200 <= response.status < 300
-        except urllib.error.HTTPError as exc:
-            obs.incr("store.remote_errors", key=f"put:{exc.code}")
-            return False
-        except OSError:
-            obs.incr("store.remote_errors", key="put:unreachable")
-            return False
+            status, body = request(
+                method, f"{self.base_url}/blob/{key}", body=blob,
+                headers={"Content-Type": "application/octet-stream"},
+                timeout=self.timeout)
+        except TransportError:
+            obs.incr("store.remote_errors", key=f"{verb}:unreachable")
+            return None, None
+        if status != 200 and (verb, status) != ("get", 404):
+            obs.incr("store.remote_errors", key=f"{verb}:{status}")
+        return status, body
 
     def ping(self):
         """Probe the endpoint; raises :class:`StoreUnreachable` if dead."""
-        url = f"{self.base_url}/fabric/ping"
         try:
-            with urllib.request.urlopen(url, timeout=self.timeout):
-                return True
-        except urllib.error.HTTPError as exc:
-            raise StoreUnreachable(
-                f"store backend {self.base_url} answered "
-                f"HTTP {exc.code} to a ping") from None
-        except OSError as exc:
-            reason = getattr(exc, "reason", None) or exc
+            status, _ = request("GET", f"{self.base_url}/fabric/ping",
+                                timeout=self.timeout)
+        except TransportError as exc:
             raise StoreUnreachable(
                 f"store backend {self.base_url} is unreachable: "
-                f"{reason}") from None
-
-    # -- the store surface ----------------------------------------------------
-
-    def get(self, config, stage):
-        """The cached artifact for ``(config, stage)``, or :data:`MISS`.
-
-        LRU first, network second; every defect along the way — missing
-        blob, truncated body, checksum or header mismatch, server error,
-        dead server — is a retriable miss and is never cached.
-        """
-        key = self.key(config, stage)
-        expected = self._expected(config, stage)
-        with obs.span("store.get") as span:
-            blob = self.cache.get(key)
-            if blob is not None:
-                value = decode_entry(blob, expected)
-                if value is not MISS:
-                    obs.incr("store.lru_hits", key=stage)
-                    return self._record_hit(stage, value)
-                self.cache.discard(key)
-            blob = self._fetch(key, stage)
-            if blob is None:
-                return self._miss(stage)
-            value = decode_entry(blob, expected)
-            if value is MISS:
-                obs.incr("store.corrupt", key=stage)
-                return self._miss(stage)
-            span.incr("bytes", len(blob))
-            self.cache.put(key, blob)
-        return self._record_hit(stage, value)
-
-    def _record_hit(self, stage, value):
-        with self._lock:
-            self.hit_stages.append(stage)
-        obs.incr("store.hits", key=stage)
-        return value
-
-    def _miss(self, stage):
-        with self._lock:
-            self.miss_stages.append(stage)
-        obs.incr("store.misses", key=stage)
-        return MISS
-
-    def put(self, config, stage, value):
-        """Cache ``value`` remotely; returns the content key, or ``None``.
-
-        Best-effort like the local store: an unpicklable value, a
-        rejected upload, or a dead server is counted and skipped, never
-        fatal — and a failed upload is *not* admitted to the local LRU,
-        so a later ``get`` retries the network instead of serving a
-        value the rest of the cluster never saw.
-        """
-        with obs.span("store.put") as span:
-            try:
-                payload = pickle.dumps(value,
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                with self._lock:
-                    self.error_stages.append(stage)
-                obs.incr("store.errors", key=stage)
-                return None
-            blob = encode_entry(config.artifact_digest(), stage,
-                                self.version, payload)
-            key = self.key(config, stage)
-            if not self._upload(key, blob):
-                with self._lock:
-                    self.error_stages.append(stage)
-                obs.incr("store.errors", key=stage)
-                return None
-            span.incr("bytes", len(blob))
-            self.cache.put(key, blob)
-        with self._lock:
-            self.written_stages.append(stage)
-        obs.incr("store.writes", key=stage)
-        return key
-
-    def get_or_compute(self, config, stage, compute):
-        """``get``, falling back to ``compute()`` + ``put`` on a miss."""
-        value = self.get(config, stage)
-        if value is MISS:
-            value = compute()
-            self.put(config, stage, value)
-        return value
+                f"{exc}") from None
+        if status != 200:
+            raise StoreUnreachable(
+                f"store backend {self.base_url} answered "
+                f"HTTP {status} to a ping")
+        return True
 
     def provenance(self):
-        """This run's cache traffic, for the run manifest."""
-        with self._lock:
-            return {
-                "url": self.base_url,
-                "version": self.version,
-                "hits": sorted(self.hit_stages),
-                "misses": sorted(self.miss_stages),
-                "writes": sorted(self.written_stages),
-                "errors": sorted(self.error_stages),
-                "lru_entries": len(self.cache),
-                "lru_evicted": len(self.cache.evicted),
-            }
+        return dict(super().provenance(), url=self.base_url,
+                    lru_entries=len(self.cache),
+                    lru_evicted=len(self.cache.evicted))

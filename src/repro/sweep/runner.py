@@ -196,44 +196,26 @@ class SweepRunner:
         from repro.fabric.protocol import DEFAULT_LEASE_SECONDS
         from repro.fabric.server import make_fabric_server
         from repro.fabric.worker import worker_main
-        from repro.store.artifact import ArtifactStore
-        import threading
+        from repro.http import serving
 
-        spec = self.store_spec
-        blob_store = None
-        if spec and spec.get("backend") == "http" \
-                and not spec.get("url"):
-            blob_store = ArtifactStore(spec["dir"])
         coordinator = FabricCoordinator(
-            index, store_spec=spec,
+            index, store_spec=self.store_spec,
             lease_seconds=self.lease_seconds or DEFAULT_LEASE_SECONDS)
-        server, _ = make_fabric_server(coordinator,
-                                       blob_store=blob_store)
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
-        if blob_store is not None:
-            # Resolve the self-served spec now that the port is known.
-            coordinator.store_spec = {"backend": "http", "url": url}
-        serving = threading.Thread(target=server.serve_forever,
-                                   daemon=True)
-        serving.start()
+        server, _ = make_fabric_server(coordinator)
         context = multiprocessing.get_context(self.mp_context)
         workers = min(self.workers, len(pending)) or 1
         processes = [
             context.Process(
-                target=worker_main, args=(url,),
+                target=worker_main, args=(server.url,),
                 kwargs={"worker_id": f"local-{rank}",
                         "jobs": self.worker_jobs},
                 daemon=True)
             for rank in range(workers)]
-        try:
+        with serving(server):
             for process in processes:
                 process.start()
             for process in processes:
                 process.join()
-        finally:
-            server.shutdown()
-            server.server_close()
         before_failed = dict(index.failed)
         for unit in pending:
             key = unit.key()

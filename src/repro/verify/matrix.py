@@ -196,9 +196,9 @@ class EquivalenceMatrix:
         HTTP lease protocol and comes back through the campaign
         ledger, exactly as a multi-machine run would.
         """
-        import threading
         from repro.fabric import FabricCoordinator, FabricWorker, \
             make_fabric_server
+        from repro.http import serving
         from repro.store.campaign import CampaignIndex
         from repro.sweep.grid import SweepUnit
         unit = SweepUnit(name=mode.name, seed=config.seed,
@@ -210,17 +210,8 @@ class EquivalenceMatrix:
             unit.stage)
         coordinator = FabricCoordinator(index)
         server, _ = make_fabric_server(coordinator)
-        host, port = server.server_address[:2]
-        serving = threading.Thread(target=server.serve_forever,
-                                   daemon=True)
-        serving.start()
-        try:
-            worker = FabricWorker(f"http://{host}:{port}",
-                                  worker_id=f"matrix-{mode.name}")
-            worker.run()
-        finally:
-            server.shutdown()
-            server.server_close()
+        with serving(server):
+            FabricWorker(server.url, worker_id=f"matrix-{mode.name}").run()
         result = index.completed.get(unit.key())
         if result is None:
             raise RuntimeError(

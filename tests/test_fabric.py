@@ -26,10 +26,10 @@ from repro.cli import main
 from repro.config import StudyConfig
 from repro.fabric import (DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS,
                           FabricCoordinator, FabricService,
-                          FabricWorker, ProtocolError,
-                          make_fabric_server, worker_main)
+                          FabricWorker, make_fabric_server,
+                          worker_main)
 from repro.fabric.protocol import LEASE_HOLD_BUCKETS_MS
-from repro.fabric.server import MAX_BODY_BYTES
+from repro.http import MAX_BODY_BYTES, HTTPError
 from repro.store import ArtifactStore, blob_key_of, encode_entry
 from repro.store.campaign import CampaignIndex
 from repro.sweep import SweepRunner, expand_grid
@@ -103,7 +103,7 @@ class TestCoordinatorProtocol:
         clock.advance(8.0)  # past the original deadline, not the new one
         assert coordinator.heartbeat(lease["lease"])["ok"]
         clock.advance(10.5)
-        with pytest.raises(ProtocolError) as err:
+        with pytest.raises(HTTPError) as err:
             coordinator.heartbeat(lease["lease"])
         assert err.value.status == 410
         assert "returned to the queue" in err.value.message
@@ -114,7 +114,7 @@ class TestCoordinatorProtocol:
                      lambda: coordinator.complete(
                          "nope", {"key": "k"}),
                      lambda: coordinator.fail("nope", "boom")):
-            with pytest.raises(ProtocolError) as err:
+            with pytest.raises(HTTPError) as err:
                 call()
             assert err.value.status == 404
 
@@ -156,10 +156,10 @@ class TestCoordinatorProtocol:
     def test_complete_validates_the_result_payload(self, tmp_path):
         coordinator = _coordinator(tmp_path, count=2)
         lease = coordinator.lease("w")
-        with pytest.raises(ProtocolError) as err:
+        with pytest.raises(HTTPError) as err:
             coordinator.complete(lease["lease"], None)
         assert err.value.status == 400
-        with pytest.raises(ProtocolError) as err:
+        with pytest.raises(HTTPError) as err:
             coordinator.complete(lease["lease"], {"key": "wrong-unit"})
         assert err.value.status == 400
         assert "covers unit" in err.value.message
@@ -282,7 +282,7 @@ class TestFabricService:
             status, prom = service.handle("GET", "/metrics",
                                           {"format": ["prom"]})
             assert status == 200
-            assert b"repro_fabric_completed" in prom.blob
+            assert b"repro_fabric_completed" in prom.data
         assert service.handle("GET", "/metrics",
                               {"format": ["xml"]})[0] == 400
 
@@ -294,7 +294,7 @@ class TestFabricService:
                                          body=blob)
         assert status == 200 and payload["key"] == key
         status, raw = service.handle("GET", f"/blob/{key}")
-        assert status == 200 and raw.blob == blob
+        assert status == 200 and raw.data == blob
         # The server re-derives the key: garbage and mismatches bounce.
         status, payload = service.handle("PUT", f"/blob/{'b' * 64}",
                                          body=blob)
@@ -372,9 +372,13 @@ def fabric(tmp_path):
 
 def _raw_post(url, content_length):
     """POST with a verbatim Content-Length header; ``(status, body)``."""
+    return _raw(url, f"POST /fabric/lease HTTP/1.1\r\nHost: x\r\n"
+                     f"Content-Length: {content_length}\r\n\r\n")
+
+
+def _raw(url, request):
+    """Send one raw request; ``(status, body)`` read until EOF."""
     host, port = url[len("http://"):].split(":")
-    request = (f"POST /fabric/lease HTTP/1.1\r\nHost: {host}\r\n"
-               f"Content-Length: {content_length}\r\n\r\n")
     with socket.create_connection((host, int(port)), timeout=10) as sock:
         sock.sendall(request.encode("ascii"))
         chunks = []
@@ -390,10 +394,30 @@ def _raw_post(url, content_length):
 class TestHttpBoundary:
     @pytest.mark.parametrize("content_length, status", [
         ("abc", 400), ("-5", 400), ("1_0", 400),
-        (str(MAX_BODY_BYTES + 1), 413)])
+        (str(MAX_BODY_BYTES + 1), 413),
+        pytest.param("9" * 5000, 413, id="5000-digits")])
     def test_bad_content_length_is_one_line_json(self, fabric,
                                                  content_length, status):
         got, body = _raw_post(fabric.url, content_length)
+        assert got == status
+        payload = json.loads(body)
+        assert set(payload) == {"error"}
+        assert "\n" not in payload["error"]
+
+    @pytest.mark.parametrize("request_text, status", [
+        ("DELETE /fabric/status HTTP/1.1\r\nConnection: close\r\n\r\n",
+         405),
+        ("PATCH /fabric/status HTTP/1.1\r\n\r\n", 501),
+        ("GARBAGE\r\n\r\n", 400),
+        ("POST /fabric/lease HTTP/1.1\r\nTransfer-Encoding: chunked"
+         "\r\nConnection: close\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 411),
+        ("POST /fabric/lease HTTP/1.1\r\nContent-Length: 2\r\n"
+         "Content-Length: 2\r\nConnection: close\r\n\r\n{}", 400)],
+        ids=["delete", "patch", "garbage-line", "chunked",
+             "repeated-length"])
+    def test_rejected_request_is_one_line_json(self, fabric,
+                                               request_text, status):
+        got, body = _raw(fabric.url, request_text)
         assert got == status
         payload = json.loads(body)
         assert set(payload) == {"error"}

@@ -1,6 +1,7 @@
 """Tests for the ``repro serve`` HTTP/JSON query API."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -8,8 +9,8 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.ingest import (Ingester, PlainText, QueryService, make_server,
-                          run_load)
+from repro.http import Body
+from repro.ingest import Ingester, QueryService, make_server, run_load
 from repro.obs.slo import STATES
 from repro.obs.telemetry import parse_prometheus
 from repro.schema import SCHEMA_VERSION
@@ -33,6 +34,25 @@ def server_url(service):
 def get_json(url):
     with urllib.request.urlopen(url) as response:
         return response.status, json.loads(response.read())
+
+
+def raw_exchange(url, raw):
+    """Send raw request bytes; every ``(status, body)`` read until EOF."""
+    host, port = url[len("http://"):].split(":")
+    data = b""
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(raw)
+        while chunk := sock.recv(65536):
+            data += chunk
+    responses = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        length = next(int(line.split(b":")[1]) for line in lines
+                      if line.lower().startswith(b"content-length:"))
+        responses.append((int(lines[0].split()[1]), data[:length]))
+        data = data[length:]
+    return responses
 
 
 class TestEnvelopes:
@@ -116,16 +136,16 @@ class TestTelemetryPlane:
             status, payload = service.handle("/metrics",
                                              {"format": ["prom"]})
         assert status == 200
-        assert isinstance(payload, PlainText)
-        assert payload.content_type == PlainText.PROMETHEUS
-        parsed = parse_prometheus(payload.text)
+        assert isinstance(payload, Body)
+        assert payload.content_type == Body.PROMETHEUS
+        parsed = parse_prometheus(payload.data.decode())
         assert parsed["metrics"]["repro_probe_attempts_total"][()] == 3
 
     def test_metrics_accept_header_negotiation(self, service):
         status, payload = service.handle("/metrics",
                                          accept="text/plain")
         assert status == 200
-        assert isinstance(payload, PlainText)
+        assert isinstance(payload, Body)
         # Explicit JSON (or a browser wildcard) keeps the JSON default.
         for accept in ("application/json, text/plain", "*/*", None):
             status, payload = service.handle("/metrics", accept=accept)
@@ -224,7 +244,7 @@ class TestTelemetryPlane:
             status, body, content_type = service.handle_request(
                 "/metrics", {"format": ["prom"]})
         assert status == 200
-        assert content_type == PlainText.PROMETHEUS
+        assert content_type == Body.PROMETHEUS
         parse_prometheus(body.decode("utf-8"))
 
 
@@ -315,3 +335,36 @@ class TestHttpTransport:
         assert summary["requests"] == 20
         assert summary["errors"] == 0
         assert summary["p99_ms"] >= summary["p50_ms"]
+
+
+class TestHttpBoundary:
+    """Raw-socket requests: bodies are read, rejections are envelopes."""
+
+    def test_get_body_is_read_not_replayed_as_a_request(self,
+                                                        server_url):
+        smuggled = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+        raw = (b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+               b"Content-Length: %d\r\n\r\n" % len(smuggled) + smuggled
+               + b"GET /v1/match-rate HTTP/1.1\r\nHost: x\r\n"
+                 b"Connection: close\r\n\r\n")
+        statuses = [status for status, _ in
+                    raw_exchange(server_url, raw)]
+        assert statuses == [200, 200]
+
+    @pytest.mark.parametrize("raw, status", [
+        (b"POST /v1/doc HTTP/1.1\r\nContent-Length: 2\r\n"
+         b"Connection: close\r\n\r\n{}", 405),
+        (b"PUT /v1/doc HTTP/1.1\r\nContent-Length: 0\r\n"
+         b"Connection: close\r\n\r\n", 405),
+        (b"DELETE /v1/doc HTTP/1.1\r\nConnection: close\r\n\r\n", 405),
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"GARBAGE\r\n\r\n", 400),
+    ], ids=["post", "put", "delete", "bad-length", "garbage-line"])
+    def test_rejection_is_a_versioned_envelope(self, server_url, raw,
+                                               status):
+        [(got, body)] = raw_exchange(server_url, raw)
+        assert got == status
+        payload = json.loads(body)
+        assert payload["schema_version"] == SCHEMA_VERSION
+        assert payload["error"]["status"] == status
+        assert "\n" not in payload["error"]["message"]

@@ -20,6 +20,7 @@ from repro.config import StudyConfig
 from repro.fabric import FabricCoordinator, make_fabric_server
 from repro.store import (MISS, ArtifactStore, BlobCache,
                          RemoteArtifactStore, StoreUnreachable)
+from repro.store.artifact import encode_entry
 from repro.store.backend import http_spec, local_spec, store_from_spec
 from repro.store.campaign import CampaignIndex
 from repro.sweep import expand_grid
@@ -28,6 +29,17 @@ from repro.sweep import expand_grid
 @pytest.fixture
 def config():
     return StudyConfig()
+
+
+def _refuse():
+    raise RuntimeError("this value cannot be rebuilt")
+
+
+class _Unloadable:
+    """Pickles fine, but unpickling it raises."""
+
+    def __reduce__(self):
+        return _refuse, ()
 
 
 def _free_port():
@@ -43,9 +55,10 @@ class _BlobServer:
         index = CampaignIndex.create(
             tmp_path / "campaign.json",
             [{"name": "u0", "key": "0" * 64, "seed": 0}], "probe")
-        self.store = ArtifactStore(tmp_path / "blobs")
-        self.server, self.service = make_fabric_server(
-            FabricCoordinator(index), blob_store=self.store)
+        self.server, self.service = make_fabric_server(FabricCoordinator(
+            index, store_spec={"backend": "http",
+                               "dir": str(tmp_path / "blobs")}))
+        self.store = self.service.blob_store
         host, port = self.server.server_address[:2]
         self.url = f"http://{host}:{port}"
         self.thread = threading.Thread(target=self.server.serve_forever,
@@ -214,6 +227,40 @@ class TestFaultInjection:
         client = RemoteArtifactStore(blob_server.url)
         assert client.put(config, "stage", lambda: None) is None
         assert client.provenance()["errors"] == ["stage"]
+
+    @pytest.mark.parametrize("defect", ["truncated", "bad-pickle"])
+    def test_defective_download_never_evicts_a_held_entry(
+            self, blob_server, config, defect):
+        client = RemoteArtifactStore(blob_server.url, cache_entries=1)
+        held = client.put(config, "held", "value")
+        if defect == "truncated":
+            _, path = self._written(blob_server, config)
+            path.write_bytes(path.read_bytes()[:-1])
+        else:
+            # Checksum and header are sound, so the server accepts it;
+            # only the payload fails to unpickle.
+            blob = encode_entry(config.artifact_digest(), "certificates",
+                                client.version, b"not a pickle")
+            assert blob_server.store.write_raw(
+                client.key(config, "certificates"), blob)
+        assert client.get(config, "certificates") is MISS
+        assert client.cache.keys() == [held]
+        assert client.cache.evicted == []
+
+    def test_lru_hits_count_only_blobs_that_decode(self, blob_server,
+                                                   config):
+        writer = RemoteArtifactStore(blob_server.url)
+        writer.put(config, "good", "value")
+        writer.put(config, "bad", _Unloadable())
+        reader = RemoteArtifactStore(blob_server.url)
+        with obs.enabled() as ctx:
+            assert reader.get(config, "good") == "value"  # network
+            assert reader.get(config, "good") == "value"  # LRU
+            assert writer.get(config, "bad") is MISS  # LRU, undecodable
+            counters = ctx.metrics.snapshot()["families"]
+        assert counters["store.lru_hits"] == {"good": 1}
+        assert counters["store.corrupt"] == {"bad": 1}
+        assert len(writer.cache) == 1  # the bad blob was forgotten
 
 
 class TestBlobCacheLRU:
