@@ -1,11 +1,11 @@
-"""Single-process vs cluster-backend campaign wall-clock benchmark.
+"""Single-process vs one-host cluster campaign wall-clock benchmark.
 
 Runs the same multi-seed probe-stage campaign twice and writes
 ``BENCH_fabric.json``:
 
-1. local — ``SweepRunner(backend="local", workers=1)``, the inline
-   single-process reference path, one study after another;
-2. cluster — ``SweepRunner(backend="cluster", workers=2)``, a fabric
+1. local — ``SweepRunner(workers=1)``, the inline single-process
+   reference path, one study after another;
+2. cluster — ``SweepRunner(workers=2, worker_jobs=2)``, a fabric
    coordinator in-process plus two spawned fabric worker processes,
    each running ``--worker-jobs`` claim threads so one thread's
    latency-model sleeps overlap another's compute.
@@ -75,14 +75,14 @@ def main(argv=None):
     print(f"campaign: {len(units)} probe-stage units "
           f"(time scale {args.time_scale})...")
     local, local_seconds = _timed_campaign(
-        units, scratch / "local.json", backend="local", workers=1)
-    print(f"  --backend local (1 proc)   {local_seconds:6.2f}s")
+        units, scratch / "local.json", workers=1)
+    print(f"  --workers 1 (inline)       {local_seconds:6.2f}s")
     cluster, cluster_seconds = _timed_campaign(
-        units, scratch / "cluster.json", backend="cluster",
+        units, scratch / "cluster.json",
         workers=args.workers, worker_jobs=args.worker_jobs)
     speedup = local_seconds / cluster_seconds
-    print(f"  --backend cluster "
-          f"({args.workers}x{args.worker_jobs})      "
+    print(f"  --workers {args.workers} --worker-jobs "
+          f"{args.worker_jobs}   "
           f"{cluster_seconds:6.2f}s ({speedup:.2f}x)")
 
     ok = local.ok and cluster.ok

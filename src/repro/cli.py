@@ -45,13 +45,13 @@ Commands:
   fabric cluster backend), evaluate the paper ``invariants``,
   digest-check the deterministic ``ml`` eval report against its
   committed baseline;
-- ``sweep``     process-parallel multi-config campaigns: ``run`` a seed
-  grid (plus trust-store / fault-rate ablations) across worker
-  processes — or across a one-host cluster with ``--backend cluster``
-  and a remote blob store with ``--store-backend http`` — ``resume`` a
-  killed campaign (completed configs are skipped via the campaign
-  ledger; works across backends), ``report`` the aggregate variance
-  bands around every paper anchor;
+- ``sweep``     resumable multi-config campaigns: ``run`` a seed grid
+  (plus trust-store / fault-rate ablations) inline, or with
+  ``--workers N`` across a one-host fabric cluster of N worker
+  processes (optionally over a remote blob store with
+  ``--store-backend http``), ``resume`` a killed campaign (completed
+  configs are skipped via the campaign ledger, at any worker count),
+  ``report`` the aggregate variance bands around every paper anchor;
 - ``fabric``    the distributed campaign fabric: ``serve`` a campaign's
   units as expiring HTTP leases (plus the content-addressed blob store
   and Prometheus ``/metrics``), ``worker`` to claim/run/upload units
@@ -802,30 +802,25 @@ def cmd_sweep_run(args):
                             time_scale=args.time_scale,
                             stage=args.stage)
         store = _sweep_store_spec(args)
-        if args.backend == "local" and store \
-                and store.get("backend") == "http" \
-                and not store.get("url"):
-            raise ValueError("a self-served http store needs "
-                             "--backend cluster (or an explicit "
-                             "--store-url)")
     except ValueError as exc:
         print(f"sweep run: {exc}", file=sys.stderr)
         return 2
     args.config = config
-    os.makedirs(args.out, exist_ok=True)
     runner = SweepRunner(
         units=units,
         index_path=os.path.join(args.out, "campaign.json"),
         workers=args.workers,
-        cache_dir=_sweep_cache_root(args),
-        backend=args.backend, store=store,
-        lease_seconds=args.lease_seconds,
+        cache_dir=_sweep_cache_root(args), store=store,
         worker_jobs=args.worker_jobs)
     print(f"sweep: {len(units)} units "
           f"({', '.join(unit.name for unit in units[:8])}"
           f"{', ...' if len(units) > 8 else ''}) across "
-          f"{args.workers} {args.backend} worker(s)")
-    result = runner.run()
+          f"{args.workers} worker(s)")
+    try:
+        result = runner.run()
+    except ValueError as exc:
+        print(f"sweep run: {exc}", file=sys.stderr)
+        return 2
     return _finish_sweep(args, result)
 
 
@@ -859,11 +854,7 @@ def cmd_sweep_resume(args):
             return 2
     runner = SweepRunner(
         index_path=os.path.join(args.out, "campaign.json"),
-        workers=args.workers,
-        cache_dir=index.cache_dir,
-        backend=args.backend, store=spec,
-        lease_seconds=args.lease_seconds,
-        worker_jobs=args.worker_jobs)
+        workers=args.workers, worker_jobs=args.worker_jobs)
     try:
         result = runner.run(resume=True)
     except ValueError as exc:
@@ -1059,19 +1050,14 @@ def cmd_obs_diff(args):
     return 0 if report["ok"] else 1
 
 
-def _add_sweep_backend(parser):
-    """Execution-backend flags shared by ``sweep run`` and ``resume``."""
-    parser.add_argument("--backend", choices=("local", "cluster"),
-                        default="local",
-                        help="execution backend: this process / a "
-                             "process pool, or a fabric coordinator + "
-                             "worker processes (default %(default)s; "
-                             "digests are identical either way)")
-    parser.add_argument("--lease-seconds", type=float, default=None,
-                        dest="lease_seconds",
-                        help="cluster lease/heartbeat interval "
-                             "(default: fabric default)")
-    parser.add_argument("--worker-jobs", type=int, default=2,
+def _add_sweep_workers(parser):
+    """Execution flags shared by ``sweep run`` and ``resume``."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="units in flight: 1 runs inline, N > 1 a "
+                             "one-host fabric cluster (default "
+                             "%(default)s; output digests are identical "
+                             "for any value)")
+    parser.add_argument("--worker-jobs", type=int, default=1,
                         dest="worker_jobs",
                         help="claim threads per cluster worker process "
                              "(default %(default)s)")
@@ -1335,10 +1321,6 @@ def build_parser():
     p_srun.add_argument("--seeds", type=int, default=4,
                         help="number of consecutive seeds starting at "
                              "--seed (default %(default)s)")
-    p_srun.add_argument("--workers", type=int, default=1,
-                        help="worker processes; 1 runs inline "
-                             "(default %(default)s; output digests are "
-                             "identical for any value)")
     p_srun.add_argument("--grid", metavar="AXES", default="seeds",
                         help="comma-separated grid axes from "
                              "seeds,stores,faults (default %(default)s)")
@@ -1354,7 +1336,7 @@ def build_parser():
     p_srun.add_argument("--out", metavar="DIR", default="sweep_out",
                         help="campaign directory: ledger + report "
                              "(default %(default)s)")
-    _add_sweep_backend(p_srun)
+    _add_sweep_workers(p_srun)
     p_srun.add_argument("--store-backend", choices=("local", "http"),
                         default="local", dest="store_backend",
                         help="artifact store backend the workers use "
@@ -1370,8 +1352,7 @@ def build_parser():
         "resume", help="resume a killed campaign: re-run only "
                        "incomplete configs")
     p_sresume.add_argument("--out", metavar="DIR", default="sweep_out")
-    p_sresume.add_argument("--workers", type=int, default=1)
-    _add_sweep_backend(p_sresume)
+    _add_sweep_workers(p_sresume)
     _add_obs(p_sresume)
     p_sresume.set_defaults(func=cmd_sweep_resume, seed=DEFAULT_SEED)
     p_sreport = sweep_sub.add_parser(

@@ -17,11 +17,11 @@ The pieces:
   endpoints and a Prometheus-scrapable ``/metrics``;
 - :class:`~repro.fabric.worker.FabricWorker` /
   :func:`~repro.fabric.worker.worker_main` — the claim/run/upload
-  loop, running the exact per-unit payload the local backend runs;
+  loop, running the exact per-unit payload the inline path runs;
 - the remote store client itself lives in :mod:`repro.store.remote`.
 
 CLI: ``repro fabric serve|worker|status`` for explicit multi-machine
-operation, or ``repro sweep run --backend cluster`` to run the whole
+operation, or ``repro sweep run --workers N`` (N > 1) to run the whole
 topology (coordinator + N worker processes) on one host.
 """
 

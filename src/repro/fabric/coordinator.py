@@ -37,6 +37,7 @@ from repro import obs
 from repro.fabric.protocol import DEFAULT_LEASE_SECONDS, \
     DEFAULT_MAX_ATTEMPTS, LEASE_HOLD_BUCKETS_MS
 from repro.http import HTTPError
+from repro.store.campaign import check_unit_result
 
 
 class _Lease:
@@ -155,9 +156,10 @@ class FabricCoordinator:
 
     def complete(self, token, result):
         """Record one finished unit; idempotent across stolen leases."""
-        if not isinstance(result, dict) or "key" not in result:
-            raise HTTPError(400, "complete needs a result payload "
-                                 "with a unit key")
+        try:
+            check_unit_result(result)
+        except ValueError as exc:
+            raise HTTPError(400, str(exc)) from None
         now = self.clock()
         with self._lock:
             self._expire_stale(now)

@@ -21,8 +21,8 @@ Surface:
   (:meth:`~repro.store.artifact.ArtifactStore.write_raw`);
 - ``GET /blob/stats`` — the blob store's aggregate statistics.
 
-Boot activates an enabled observability context if none is active, so
-``/metrics`` never answers with an empty snapshot.
+Boot leaves the process's observability context alone: ``/metrics``
+reports the caller's context, or an empty snapshot when none is active.
 """
 
 import json
@@ -155,7 +155,6 @@ def make_fabric_server(coordinator, host="127.0.0.1", port=0):
     service)``; the caller runs the server, with ``serve_forever()`` or
     under :func:`repro.http.serving`.
     """
-    obs.ensure_enabled()
     spec = coordinator.store_spec or {}
     self_served = spec.get("backend") == "http" and not spec.get("url")
     service = FabricService(

@@ -6,12 +6,12 @@ coordinator:
 
 1. ``POST /fabric/lease``; if nothing is claimable, poll until the
    coordinator reports the campaign done;
-2. build the same JSON payload the local
+2. build the same ``{"unit", "store"}`` payload the inline
    :class:`~repro.sweep.runner.SweepRunner` builds (unit spec + the
    resolved store-backend spec) and run the standard per-unit function
    (:func:`repro.sweep.worker.run_unit`) — the execution path is
-   *identical* to the local backend from the payload inward, which is
-   what makes per-config digests byte-identical across backends;
+   *identical* to the inline path from the payload inward, which is
+   what makes per-config digests byte-identical at any worker count;
 3. heartbeat on a side thread at a third of the lease interval; a 410
    means the lease expired and the unit was stolen — the worker still
    finishes and uploads (content-addressed results are
@@ -23,12 +23,13 @@ coordinator:
 ``jobs > 1`` runs that loop on several claim threads inside one
 process.  A study's cost is part CPU, part modeled latency sleeps, so
 two claim threads overlap one thread's sleeps with the other's compute
-— that (not the GIL-bound CPU) is where the cluster backend's speedup
-over a single process comes from.
+— that (not the GIL-bound CPU) is where the extra speedup of a second
+claim thread per process comes from.
 
-``worker_main`` is the top-level entry a spawned worker process (or
-``repro fabric worker``) runs; it must stay importable from a clean
-interpreter.
+``worker_main`` is the top-level entry of ``repro fabric worker`` and
+of each process ``repro sweep run --workers N`` spawns; it must stay
+importable from a clean interpreter.  It records into the caller's
+observability context and never switches one on.
 """
 
 import json
@@ -38,13 +39,6 @@ import time
 from repro import obs
 from repro.http import TransportError, request
 from repro.sweep.worker import run_unit
-
-
-def _derived_cache_dir(store_spec):
-    """The legacy ``cache_dir`` field for payloads (local specs only)."""
-    if store_spec and store_spec.get("backend") == "local":
-        return store_spec.get("dir")
-    return None
 
 
 class _Heartbeat(threading.Thread):
@@ -133,12 +127,6 @@ class FabricWorker:
 
     # -- one unit -------------------------------------------------------------
 
-    def _payload(self, lease):
-        store_spec = lease.get("store")
-        return {"unit": lease["unit"],
-                "store": store_spec,
-                "cache_dir": _derived_cache_dir(store_spec)}
-
     def _run_lease(self, lease):
         token = lease["lease"]
         unit = lease["unit"]
@@ -150,7 +138,8 @@ class FabricWorker:
             heart.start()
         try:
             with obs.span(f"fabric.unit.{name}"):
-                result = self.runner(self._payload(lease))
+                result = self.runner({"unit": unit,
+                                      "store": lease.get("store")})
         except Exception as exc:
             if heart is not None:
                 heart.stop()
@@ -202,7 +191,6 @@ class FabricWorker:
 
     def run(self):
         """Drain the queue; returns this worker's summary dict."""
-        obs.ensure_enabled()
         if self.jobs == 1:
             self._loop()
         else:

@@ -85,11 +85,6 @@ class Device:
     #: stack key used when no route matches.
     default_stack: str = "base"
 
-    def stack_for(self, sld):
-        """The stack this device uses when talking to servers under ``sld``."""
-        key = self.routing.get(sld, self.default_stack)
-        return self.stacks[key]
-
 
 @dataclass(frozen=True)
 class User:

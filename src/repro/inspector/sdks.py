@@ -101,20 +101,3 @@ SDKS = {
 IMPLICIT_SDK_MEMBERS = {
     "hdhomerun": ("HDHomeRun", "SiliconDust"),
 }
-
-
-def sdk_members(sdk_name, profiles):
-    """Vendors whose devices may install ``sdk_name``."""
-    members = [p.name for p in profiles if sdk_name in p.sdks]
-    members.extend(IMPLICIT_SDK_MEMBERS.get(sdk_name, ()))
-    return sorted(set(members))
-
-
-def all_sdk_routes():
-    """Every ``(sld, fqdn_count, stack_key)`` across all SDKs."""
-    routes = []
-    for sdk in SDKS.values():
-        for stack in sdk.stacks:
-            for sld, count in stack.routes:
-                routes.append((sld, count, stack.key))
-    return routes

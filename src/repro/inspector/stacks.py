@@ -88,20 +88,6 @@ def stable_rng(*scope):
     return random.Random(seed)
 
 
-def _swap_similar(code, rng):
-    """Replace a suite with its longer-key sibling when one exists."""
-    name = suite_by_code(code).name
-    for shorter, longer in _SIMILAR_SWAPS:
-        if name.endswith(shorter):
-            sibling = name[: -len(shorter)] + longer
-            try:
-                from repro.tlslib.ciphersuites import suite_by_name
-                return suite_by_name(sibling).code
-            except KeyError:
-                return code
-    return code
-
-
 def _dedupe(codes):
     seen, out = set(), []
     for code in codes:

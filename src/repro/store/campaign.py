@@ -43,6 +43,51 @@ def campaign_id_for(unit_keys, version):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: largest magnitude of a result number: the aggregator squares their
+#: differences, which must stay finite floats.
+_MAX_MAGNITUDE = 1e150
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= _MAX_MAGNITUDE
+
+
+def _is_check(check):
+    return isinstance(check, dict) and isinstance(check.get("name"), str) \
+        and isinstance(check.get("ok"), bool)
+
+
+def check_unit_result(result):
+    """Raise a one-line ``ValueError`` unless ``result`` is a unit result.
+
+    That is an object with a string ``key``; its optional ``scalars``,
+    ``issuer_shares`` and ``invariants`` must have the shapes the sweep
+    aggregator reads.
+    """
+    if not isinstance(result, dict) \
+            or not isinstance(result.get("key"), str):
+        raise ValueError("unit result must be an object with a string key")
+    scalars = result.get("scalars", {})
+    shares = result.get("issuer_shares", {})
+    invariants = result.get("invariants", {})
+    checks = invariants.get("checks", []) \
+        if isinstance(invariants, dict) else None
+    if not isinstance(scalars, dict) or not all(
+            value is None or _is_number(value)
+            for value in scalars.values()):
+        problem = "scalars must map names to null or numbers within 1e150"
+    elif not isinstance(shares, dict) \
+            or not all(map(_is_number, shares.values())):
+        problem = "issuer_shares must map names to numbers within 1e150"
+    elif not isinstance(checks, list) or not all(map(_is_check, checks)):
+        problem = ("invariants must be an object whose checks list "
+                   "{name: string, ok: bool} objects")
+    else:
+        return
+    raise ValueError(f"unit result {problem}")
+
+
 class CampaignIndex:
     """The atomic on-disk ledger of one sweep campaign."""
 
@@ -101,6 +146,16 @@ class CampaignIndex:
                 f"campaign index {path} has format "
                 f"{payload.get('format')!r}; this build reads format "
                 f"{CAMPAIGN_FORMAT}")
+        completed = payload.get("completed")
+        if not isinstance(completed, dict):
+            raise ValueError(f"campaign index {path} has no completed "
+                             f"map")
+        for key, result in completed.items():
+            try:
+                check_unit_result(result)
+            except ValueError as exc:
+                raise ValueError(f"campaign index {path}: unit {key!r}: "
+                                 f"{exc}") from None
         return cls(path, payload)
 
     # -- persistence ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""``repro.sweep`` — the process-parallel multi-seed sweep engine.
+"""``repro.sweep`` — the resumable multi-seed sweep engine.
 
 The paper's headline numbers (2.55% fingerprint match rate, DoC
 distributions, issuer shares) are point estimates from one crowdsourced
@@ -12,16 +12,15 @@ anchor:
   :func:`~repro.sweep.grid.expand_grid` (seed grids, trust-store
   ablations, fault-rate ablations);
 - :mod:`repro.sweep.runner` — :class:`~repro.sweep.runner.SweepRunner`,
-  a ``ProcessPoolExecutor`` campaign runner (one study per worker
-  process — the GIL caps thread-based sweeps) that records every
-  finished unit in the atomic
+  the campaign runner: one worker runs the units inline, N > 1 hand
+  them to a one-host :mod:`repro.fabric` cluster (a coordinator plus N
+  spawned worker processes, one study per process — the GIL caps
+  thread-based sweeps) with byte-identical per-config digests; every
+  finished unit lands in the atomic
   :class:`~repro.store.campaign.CampaignIndex` ledger, so killed
-  campaigns resume by re-running only incomplete configs; its
-  ``backend="cluster"`` mode hands the same campaign to a
-  :mod:`repro.fabric` coordinator + spawned fabric workers instead,
-  with byte-identical per-config digests;
+  campaigns resume by re-running only incomplete configs;
 - :mod:`repro.sweep.worker` — the JSON-in/JSON-out per-unit entry point
-  every pool worker executes (digests, scalars, invariant verdicts);
+  every unit runs through (digests, scalars, invariant verdicts);
 - :mod:`repro.sweep.aggregate` —
   :class:`~repro.sweep.aggregate.SweepAggregator` /
   :class:`~repro.sweep.aggregate.SweepReport`: per-scalar
@@ -29,21 +28,19 @@ anchor:
   against :mod:`repro.verify.invariants`.
 
 CLI: ``repro sweep run|resume|report`` with
-``--seeds/--workers/--grid/--out`` plus
-``--backend {local,cluster}`` / ``--store-backend {local,http}``.
+``--seeds/--workers/--grid/--out`` plus ``--store-backend {local,http}``.
 """
 
 from repro.sweep.aggregate import (SCALAR_BANDS, ScalarStats,
                                    SweepAggregator, SweepReport)
 from repro.sweep.grid import (FAULT_ABLATION, GRID_AXES, STAGES,
                               SweepUnit, expand_grid, parse_grid)
-from repro.sweep.runner import (BACKENDS, CampaignResult, SweepRunner,
-                                campaign_units)
+from repro.sweep.runner import CampaignResult, SweepRunner, campaign_units
 from repro.sweep.worker import run_unit
 
 __all__ = [
-    "BACKENDS", "CampaignResult", "FAULT_ABLATION", "GRID_AXES",
-    "SCALAR_BANDS", "STAGES", "ScalarStats", "SweepAggregator",
-    "SweepReport", "SweepRunner", "SweepUnit", "campaign_units",
-    "expand_grid", "parse_grid", "run_unit",
+    "CampaignResult", "FAULT_ABLATION", "GRID_AXES", "SCALAR_BANDS",
+    "STAGES", "ScalarStats", "SweepAggregator", "SweepReport",
+    "SweepRunner", "SweepUnit", "campaign_units", "expand_grid",
+    "parse_grid", "run_unit",
 ]

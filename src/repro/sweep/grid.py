@@ -5,7 +5,7 @@ A :class:`SweepUnit` is one independent campaign member: a full
 selection) plus the sweep-only knobs a config deliberately does not
 carry — fault-injection rates, the probe latency time scale, and which
 pipeline stage to run.  Units are plain JSON values on both sides of the
-process boundary (the pool worker receives a spec dict, never a live
+process boundary (a fabric worker receives a spec dict, never a live
 object graph), and each one is content-addressed by :meth:`SweepUnit.key`
 so the campaign ledger can skip completed configs on resume.
 

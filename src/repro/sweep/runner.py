@@ -1,11 +1,13 @@
-"""The process-parallel, resumable campaign runner.
+"""The resumable campaign runner: inline, or a one-host fabric cluster.
 
 A campaign is N independent :class:`~repro.sweep.grid.SweepUnit`\\ s.
 Each unit is a full study — world generation, probing, analysis — whose
 cost is CPU-bound Python, so the thread pools used elsewhere in the
 repository (probe engine, analysis scheduler) cannot scale a *sweep*
-past the GIL.  :class:`SweepRunner` therefore fans units across a
-``ProcessPoolExecutor`` (spawn context: clean workers, identical
+past the GIL.  :class:`SweepRunner` runs ``workers == 1`` inline (the
+serial reference path) and ``workers > 1`` on a one-host
+:mod:`repro.fabric` cluster: a coordinator in this process plus that
+many spawned worker processes (spawn context: clean workers, identical
 behavior across platforms, and the same boundary the pickling
 regression tests guard), one study per worker process.
 
@@ -21,13 +23,11 @@ mid-flight resumes from its cached stages rather than from scratch.
 
 Observability: the campaign runs inside a ``sweep.campaign`` span; each
 unit's completion bumps ``sweep.completed`` / ``sweep.failed`` (and
-skips bump ``sweep.skipped``), with per-unit spans
-(``sweep.unit.<name>``) recording wall seconds — real execution time
-inline, completion-processing time under the pool, where the worker's
-own per-stage timings travel back inside the result payload.
+skips bump ``sweep.skipped``).  Inline, a ``sweep.unit.<name>`` span
+records each unit's wall seconds; on the cluster each worker's own
+per-stage timings travel back inside the result payload.
 """
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -35,9 +35,6 @@ from repro.store.backend import local_spec
 from repro.store.campaign import CampaignIndex, campaign_id_for
 from repro.sweep.grid import SweepUnit
 from repro.sweep.worker import run_unit
-
-#: execution backends ``SweepRunner`` understands.
-BACKENDS = ("local", "cluster")
 
 
 @dataclass
@@ -62,68 +59,61 @@ class CampaignResult:
 
 
 class SweepRunner:
-    """Executes a campaign of sweep units, process-parallel and resumable.
+    """Executes a campaign of sweep units, inline or on a one-host cluster.
 
     Args:
         units: the campaign's :class:`SweepUnit`\\ s (ignored on
             ``run(resume=True)``, which reloads them from the ledger).
         index_path: where the campaign ledger lives.
-        workers: worker processes; 1 executes inline (the serial
-            reference path — byte-identical digests, no subprocesses).
+        workers: 1 executes inline (the serial reference path —
+            byte-identical digests, no subprocesses); N > 1 spawns N
+            fabric worker processes on this host, N units in flight.
         cache_dir: optional shared artifact-store root every worker
             warms and reads.
         unit_runner: the per-unit function (tests inject stubs); only
-            honored inline — the pool and the cluster always run the
-            real :func:`repro.sweep.worker.run_unit`, which must stay
+            honored inline — the cluster always runs the real
+            :func:`repro.sweep.worker.run_unit`, which must stay
             importable from a spawned process.
-        mp_context: ``multiprocessing`` start-method name for the pool.
-        backend: ``local`` (this process / a process pool) or
-            ``cluster`` (a fabric coordinator + spawned fabric worker
-            processes on this host; see :mod:`repro.fabric`).
+        backend: ignored; perfbench's sweep-cluster workload passes it.
         store: optional store-backend spec
             (:mod:`repro.store.backend`); defaults to a local spec over
             ``cache_dir``.
-        lease_seconds: cluster lease/heartbeat interval (None: fabric
-            default).
         worker_jobs: claim threads per cluster worker process — a
             study's modeled-latency sleeps overlap another thread's
-            compute, so 2 is the sweet spot per core-bound process.
+            compute, so 2 can beat 1 per core-bound process.
     """
 
     def __init__(self, units=None, index_path=None, workers=1,
-                 cache_dir=None, unit_runner=run_unit,
-                 mp_context="spawn", backend="local", store=None,
-                 lease_seconds=None, worker_jobs=2):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown sweep backend {backend!r} "
-                             f"(expected one of {BACKENDS})")
+                 cache_dir=None, unit_runner=run_unit, backend=None,
+                 store=None, worker_jobs=1):
         self.units = tuple(units) if units is not None else ()
         self.index_path = index_path
         self.workers = max(1, int(workers))
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.unit_runner = unit_runner
-        self.mp_context = mp_context
-        self.backend = backend
         self.store_spec = store
-        self.lease_seconds = lease_seconds
         self.worker_jobs = max(1, int(worker_jobs))
 
     # -- ledger handling ------------------------------------------------------
 
     def _open_index(self, resume):
+        index = CampaignIndex.load(self.index_path) if resume else None
+        if self.store_spec is None:
+            ledger_spec = index.store_spec if resume else None
+            self.store_spec = ledger_spec or local_spec(self.cache_dir)
+        spec = self.store_spec or {}
+        if self.workers == 1 and spec.get("backend") == "http" \
+                and not spec.get("url"):
+            # Only the cluster's coordinator serves a self-served store;
+            # checked before any ledger is written.
+            raise ValueError(
+                "a self-served http store needs --workers 2 or more "
+                "(or an explicit --store-url)")
         if resume:
-            index = CampaignIndex.load(self.index_path)
-            if self.cache_dir is None and index.cache_dir:
-                self.cache_dir = index.cache_dir
-            if self.store_spec is None:
-                self.store_spec = index.store_spec
-            return index, [SweepUnit.from_json(spec)
-                           for spec in index.units]
+            return index, campaign_units(index)
         units = list(self.units)
         if not units:
             raise ValueError("a fresh campaign needs at least one unit")
-        if self.store_spec is None:
-            self.store_spec = local_spec(self.cache_dir)
         specs = [unit.to_json() for unit in units]
         keys = [spec["key"] for spec in specs]
         stage = units[0].stage
@@ -141,46 +131,23 @@ class SweepRunner:
 
     # -- execution ------------------------------------------------------------
 
-    def _payload(self, unit):
-        return {"unit": unit.to_json(), "store": self.store_spec,
-                "cache_dir": self.cache_dir}
-
-    def _finish(self, index, outcome, unit, resolve):
-        """Record one unit's outcome (result or failure) in the ledger."""
-        with obs.span(f"sweep.unit.{unit.name}") as span:
-            try:
-                result = resolve()
-            except Exception as exc:  # a unit failure, not the campaign's
-                error = f"{type(exc).__name__}: {exc}"
-                index.fail(unit.key(), error)
-                obs.incr("sweep.failed")
-                outcome.failed.append((unit.name, error))
-                return
-            span.incr("wall_ms",
-                      int(1000 * result.get("wall_seconds", 0)))
-        index.complete(unit.key(), result)
-        obs.incr("sweep.completed")
-        outcome.ran.append(unit.name)
-
     def _run_inline(self, index, pending, outcome):
         for unit in pending:
-            self._finish(index, outcome, unit,
-                         lambda u=unit: self.unit_runner(
-                             self._payload(u)))
-
-    def _run_pooled(self, index, pending, outcome):
-        import multiprocessing
-        context = multiprocessing.get_context(self.mp_context)
-        workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            running = {pool.submit(run_unit, self._payload(unit)): unit
-                       for unit in pending}
-            while running:
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    unit = running.pop(future)
-                    self._finish(index, outcome, unit, future.result)
+            with obs.span(f"sweep.unit.{unit.name}") as span:
+                try:
+                    result = self.unit_runner(
+                        {"unit": unit.to_json(), "store": self.store_spec})
+                except Exception as exc:  # a unit failure, not the campaign's
+                    error = f"{type(exc).__name__}: {exc}"
+                    index.fail(unit.key(), error)
+                    obs.incr("sweep.failed")
+                    outcome.failed.append((unit.name, error))
+                    continue
+                span.incr("wall_ms",
+                          int(1000 * result.get("wall_seconds", 0)))
+            index.complete(unit.key(), result)
+            obs.incr("sweep.completed")
+            outcome.ran.append(unit.name)
 
     def _run_cluster(self, index, pending, outcome):
         """One-host cluster: coordinator + spawned fabric workers.
@@ -193,24 +160,20 @@ class SweepRunner:
         """
         import multiprocessing
         from repro.fabric.coordinator import FabricCoordinator
-        from repro.fabric.protocol import DEFAULT_LEASE_SECONDS
         from repro.fabric.server import make_fabric_server
         from repro.fabric.worker import worker_main
         from repro.http import serving
 
-        coordinator = FabricCoordinator(
-            index, store_spec=self.store_spec,
-            lease_seconds=self.lease_seconds or DEFAULT_LEASE_SECONDS)
+        coordinator = FabricCoordinator(index, store_spec=self.store_spec)
         server, _ = make_fabric_server(coordinator)
-        context = multiprocessing.get_context(self.mp_context)
-        workers = min(self.workers, len(pending)) or 1
+        context = multiprocessing.get_context("spawn")
         processes = [
             context.Process(
                 target=worker_main, args=(server.url,),
                 kwargs={"worker_id": f"local-{rank}",
                         "jobs": self.worker_jobs},
                 daemon=True)
-            for rank in range(workers)]
+            for rank in range(min(self.workers, len(pending)))]
         with serving(server):
             for process in processes:
                 process.start()
@@ -237,12 +200,6 @@ class SweepRunner:
         """
         with obs.span("sweep.campaign") as span:
             index, units = self._open_index(resume)
-            if self.backend == "local" and self.store_spec \
-                    and self.store_spec.get("backend") == "http" \
-                    and not self.store_spec.get("url"):
-                raise ValueError(
-                    "a self-served http store needs the cluster "
-                    "backend (or an explicit store url)")
             outcome = CampaignResult(index=index)
             completed = index.completed
             pending = [unit for unit in units
@@ -254,12 +211,10 @@ class SweepRunner:
             span.incr("units", len(units))
             span.incr("pending", len(pending))
             if pending:
-                if self.backend == "cluster":
-                    self._run_cluster(index, pending, outcome)
-                elif self.workers == 1:
+                if self.workers == 1:
                     self._run_inline(index, pending, outcome)
                 else:
-                    self._run_pooled(index, pending, outcome)
+                    self._run_cluster(index, pending, outcome)
         return outcome
 
 
@@ -268,5 +223,5 @@ def campaign_units(index):
     return [SweepUnit.from_json(spec) for spec in index.units]
 
 
-__all__ = ["BACKENDS", "CampaignResult", "SweepRunner",
-           "campaign_id_for", "campaign_units"]
+__all__ = ["CampaignResult", "SweepRunner", "campaign_id_for",
+           "campaign_units"]

@@ -1,11 +1,13 @@
-"""The sweep worker: one process, one unit, one JSON result.
+"""The sweep worker: one unit, one JSON result.
 
-``run_unit`` is the function a campaign's ``ProcessPoolExecutor`` maps
-over unit specs.  It is deliberately top-level and JSON-in/JSON-out:
+``run_unit`` is the function every campaign executes per unit — inline
+in the campaign process, or in a fabric worker process that leased the
+unit.  It is deliberately top-level and JSON-in/JSON-out:
 
-- the *input* is a spec dict (:meth:`repro.sweep.grid.SweepUnit.to_json`
-  plus the shared cache directory), so the process boundary never
-  pickles live object graphs in;
+- the *input* is ``{"unit": spec, "store": store-backend spec}``
+  (:meth:`repro.sweep.grid.SweepUnit.to_json` plus the campaign's
+  resolved store spec), so the process boundary never pickles live
+  object graphs in;
 - the *output* is a plain dict of digests, scalars, invariant verdicts,
   per-stage timings, and cache provenance, so the boundary never pickles
   analysis objects out.
@@ -23,7 +25,7 @@ subprocess.
 
 Determinism contract: a unit's ``config_digest`` (the combined digest
 over its non-volatile analysis nodes) is byte-identical whether the unit
-runs in a pool worker, inline in the campaign process, or via a plain
+runs in a fabric worker, inline in the campaign process, or via a plain
 ``repro report`` — the same guarantee the equivalence matrix enforces,
 extended across the process boundary.
 """
@@ -107,17 +109,13 @@ def run_unit(payload):
     from repro.core.pipeline import run_full_study
     from repro.verify.invariants import invariant_summary
     unit = SweepUnit.from_json(payload["unit"])
-    store_spec = payload.get("store")
-    if store_spec is None and payload.get("cache_dir"):
-        # Legacy payload shape: a bare cache directory is a local store.
-        store_spec = {"backend": "local", "dir": payload["cache_dir"]}
     config = unit.study_config()
     started = time.perf_counter()
     ctx = obs.Observability()
     previous = obs.activate(ctx)
     try:
         study = Study(config)
-        store = store_from_spec(store_spec)
+        store = store_from_spec(payload.get("store"))
         if store is not None:
             study.attach_store(store)
         if unit.fault_rates or unit.time_scale > 0.0:

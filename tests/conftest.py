@@ -21,11 +21,12 @@ from repro.tlslib.versions import TLSVersion
 def _obs_isolation():
     """Restore the process-global obs context after every test.
 
-    Server boot paths (``serve_study``, ``make_fabric_server``,
-    ``FabricWorker.run``) call ``obs.ensure_enabled()``, which installs
-    an enabled context with no scope to restore — without this fixture
-    the first test that boots a server flips observability on for every
-    test that runs after it.
+    One boot path, ``serve_study`` (the query server's ``/metrics``
+    contract), calls ``obs.ensure_enabled()``, which installs an enabled
+    context with no scope to restore — without this fixture the first
+    test that boots a query server flips observability on for every
+    test that runs after it.  Tests that deactivate obs on purpose rely
+    on it too.
     """
     previous = obs.current()
     yield

@@ -164,6 +164,30 @@ class TestCoordinatorProtocol:
         assert err.value.status == 400
         assert "covers unit" in err.value.message
 
+    @pytest.mark.parametrize("fields", [
+        {"scalars": [1]},
+        {"scalars": {"match_rate": "high"}},
+        {"scalars": {"match_rate": 1e200}},
+        {"issuer_shares": {"Acme": None}},
+        {"invariants": []},
+        {"invariants": {"checks": [{"name": "band", "ok": "yes"}]}}],
+        ids=["scalars-list", "scalar-text", "scalar-huge", "share-null",
+             "invariants-list", "check-ok-text"])
+    def test_complete_rejects_results_the_aggregator_cannot_read(
+            self, tmp_path, fields):
+        coordinator = _coordinator(tmp_path, count=1)
+        lease = coordinator.lease("w")
+        bad = dict(_result_for(lease["unit"]), **fields)
+        with pytest.raises(HTTPError) as err:
+            coordinator.complete(lease["lease"], bad)
+        assert err.value.status == 400
+        assert "\n" not in err.value.message
+        assert not coordinator.index.completed
+        # Rejected, not recorded: a correct result still lands first.
+        reply = coordinator.complete(lease["lease"],
+                                     _result_for(lease["unit"]))
+        assert reply == {"ok": True, "duplicate": False}
+
     def test_failures_retry_until_attempts_exhausted(self, tmp_path):
         coordinator = _coordinator(tmp_path, count=1, max_attempts=2)
         key = coordinator.index.units[0]["key"]
@@ -338,7 +362,6 @@ def _digest_runner(calls=None, lock=None, fail_once=None, block=None):
                 "config_digest": hashlib.sha256(
                     canonical.encode()).hexdigest(),
                 "store": payload.get("store"),
-                "cache_dir": payload.get("cache_dir"),
                 "scalars": {}, "issuer_shares": {}, "invariants": {},
                 "wall_seconds": 0.0}
     return run
@@ -422,6 +445,37 @@ class TestHttpBoundary:
         payload = json.loads(body)
         assert set(payload) == {"error"}
         assert "\n" not in payload["error"]
+
+    def test_malformed_completion_is_one_line_json(self, fabric):
+        client = FabricWorker(fabric.url)
+        status, lease = client.post("/fabric/lease", {"worker": "w"})
+        assert status == 200
+        status, reply = client.post("/fabric/complete", {
+            "lease": lease["lease"],
+            "result": {"key": lease["unit"]["key"], "scalars": [1]}})
+        assert status == 400
+        assert set(reply) == {"error"}
+        assert "\n" not in reply["error"]
+        assert not fabric.index.completed
+
+
+class TestObsScope:
+    """Booting or draining the fabric leaves the process's obs context
+    exactly as it found it."""
+
+    def test_server_boot_leaves_obs_context_alone(self, tmp_path):
+        obs.deactivate()
+        before = obs.current()
+        _Fabric(tmp_path, count=1).close()
+        assert obs.current() is before
+
+    def test_worker_drain_leaves_obs_context_alone(self, fabric):
+        obs.deactivate()
+        before = obs.current()
+        FabricWorker(fabric.url, runner=_digest_runner(),
+                     poll_seconds=0.01).run()
+        assert len(fabric.index.completed) == 4
+        assert obs.current() is before
 
 
 class TestWorkersOverHTTP:
@@ -516,7 +570,6 @@ class TestWorkersOverHTTP:
             worker.run()
             result = next(iter(fabric.index.completed.values()))
             assert result["store"] == spec
-            assert result["cache_dir"] == spec["dir"]
         finally:
             fabric.close()
 
@@ -632,7 +685,7 @@ class TestClusterBackendEndToEnd:
         units, serial = serial_baseline
         cluster = SweepRunner(units,
                               index_path=fabric_root / "cluster.json",
-                              workers=2, backend="cluster",
+                              workers=2,
                               cache_dir=fabric_root / "cache",
                               worker_jobs=1).run()
         assert cluster.ok
@@ -646,7 +699,7 @@ class TestClusterBackendEndToEnd:
         spec = {"backend": "http", "dir": str(fabric_root / "cache")}
         cluster = SweepRunner(units,
                               index_path=fabric_root / "http.json",
-                              workers=2, backend="cluster", store=spec,
+                              workers=2, store=spec,
                               worker_jobs=1).run()
         assert cluster.ok
         assert _digest_map(cluster) == _digest_map(serial)
@@ -663,9 +716,9 @@ class TestClusterBackendEndToEnd:
                                                          tmp_path):
         units = expand_grid(StudyConfig(), seeds=1, stage="probe")
         runner = SweepRunner(units, index_path=tmp_path / "c.json",
-                             workers=1, backend="local",
+                             workers=1,
                              store={"backend": "http", "dir": "/tmp/x"})
-        with pytest.raises(ValueError, match="cluster"):
+        with pytest.raises(ValueError, match="workers"):
             runner.run()
 
 

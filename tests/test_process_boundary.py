@@ -1,12 +1,14 @@
 """Regression tests for the sweep's process boundary.
 
-The sweep pool sends work to spawned workers and results back; the one
-Study stage payload that is *not* plain JSON is the certificate dataset,
-whose live :class:`~repro.probing.engine.ProbeStats` is a view over
-lock-holding metric instruments.  ``CertificateDataset.__getstate__``
-freezes it into a :class:`ProbeStatsSnapshot` — these tests guard that
-path with real ``pickle`` round trips and an actual spawned subprocess
-(the same start method the ``SweepRunner`` pool uses).
+A multi-worker sweep runs each unit in a spawned fabric worker process,
+and study stages pass between processes as pickled artifact-store
+entries; the one Study stage payload that is *not* plain JSON is the
+certificate dataset, whose live :class:`~repro.probing.engine.ProbeStats`
+is a view over lock-holding metric instruments.
+``CertificateDataset.__getstate__`` freezes it into a
+:class:`ProbeStatsSnapshot` — these tests guard that path with real
+``pickle`` round trips and an actual spawned subprocess (the same start
+method the ``SweepRunner`` cluster's worker processes use).
 """
 
 import multiprocessing

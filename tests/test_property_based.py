@@ -3,7 +3,7 @@
 import functools
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.match import set_jaccard as jaccard
@@ -438,3 +438,94 @@ class TestFabricLeaseProperties:
             assert not resumed_index.failed  # retries cleared them all
             assert accepted == Counter({key: 1 for key in all_keys})
             assert resumed.done()
+
+
+#: JSON object keys; the fixed ones collide with the ordinary unit's,
+#: so accepted values get aggregated together with it.
+json_key = st.one_of(st.sampled_from(("match_rate", "Acme")),
+                     st.text(max_size=6))
+json_leaf = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                      st.text(max_size=6))
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_key, inner, max_size=4),
+    max_leaves=12)
+#: near misses of the shapes the aggregator reads, so the accepted
+#: branch sees many values too.
+result_field = st.one_of(
+    json_value,
+    st.dictionaries(json_key, json_leaf, max_size=4),
+    st.lists(st.fixed_dictionaries({"name": json_leaf, "ok": json_leaf}),
+             max_size=3),
+    st.fixed_dictionaries({"ok": json_leaf, "checks": json_value}))
+
+
+class TestSweepResultProperties:
+    """A completion is either a 400 or a result the sweep report reads.
+
+    Any JSON value at ``scalars``, ``issuer_shares``, ``invariants`` or
+    ``invariants.checks`` of a completed unit, next to an ordinary
+    completed unit: the coordinator rejects it with a one-line 400, or
+    the reloaded ledger aggregates into a report that renders and
+    serializes.
+    """
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(where=st.sampled_from(("scalars", "issuer_shares",
+                                  "invariants", "invariants.checks")),
+           value=result_field)
+    # the shape a worker sent in the reproduced crash, and numbers whose
+    # squared spread around the ordinary unit's overflows a float
+    @example(where="scalars", value=[1])
+    @example(where="scalars", value={"match_rate": 1e200})
+    @example(where="issuer_shares", value={"Acme": 10 ** 400})
+    def test_completion_is_rejected_or_aggregates(self, where, value):
+        import json
+        import tempfile
+        from pathlib import Path
+
+        from repro.fabric import FabricCoordinator
+        from repro.http import HTTPError
+        from repro.store.campaign import CampaignIndex
+        from repro.sweep import SweepAggregator
+
+        def result_for(unit):
+            return {"name": unit["name"], "key": unit["key"], "ok": True,
+                    "scalars": {"match_rate": 0.026,
+                                "validity_max_days": 825.0},
+                    "issuer_shares": {"Acme": 0.5},
+                    "invariants": {"ok": True, "checks": [
+                        {"name": "match_rate_band", "ok": True}]}}
+
+        specs = [{"name": f"u{i}", "key": f"{i:064x}", "stage": "full"}
+                 for i in range(2)]
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "campaign.json"
+            coordinator = FabricCoordinator(
+                CampaignIndex.create(path, specs, "full"))
+            ordinary = coordinator.lease("w")
+            coordinator.complete(ordinary["lease"],
+                                 result_for(ordinary["unit"]))
+            lease = coordinator.lease("w")
+            result = result_for(lease["unit"])
+            if where == "invariants.checks":
+                result["invariants"]["checks"] = value
+            else:
+                result[where] = value
+            # exactly what the coordinator reads off the wire
+            result = json.loads(json.dumps(result))
+            try:
+                coordinator.complete(lease["lease"], result)
+            except HTTPError as exc:
+                assert exc.status == 400
+                assert "\n" not in exc.message
+                assert lease["unit"]["key"] not in \
+                    coordinator.index.completed
+                return
+            report = SweepAggregator.from_index(
+                CampaignIndex.load(path)).report()
+            assert report.units_completed == 2
+            report.render()
+            json.dumps(report.to_json())

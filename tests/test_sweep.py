@@ -4,14 +4,16 @@ Covers the campaign contract end to end: grid expansion and unit
 content keys, the atomic campaign ledger, resume-after-kill (a partial
 ledger re-runs only incomplete configs), aggregator statistics on known
 inputs, calibrated-band failures, and the core determinism guarantee —
-a process pool produces per-config digests byte-identical to the serial
-reference path over the same shared artifact store.
+a multi-worker campaign (the one-host fabric cluster) produces
+per-config digests byte-identical to the serial reference path over the
+same shared artifact store.
 """
 
 import json
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.config import MAJOR_STORES, StudyConfig
 from repro.store.campaign import (CAMPAIGN_FORMAT, CampaignIndex,
@@ -130,7 +132,8 @@ class TestCampaignIndex:
         specs = self._specs()
         index = CampaignIndex.create(path, specs, "full")
         first, second = specs[0]["key"], specs[1]["key"]
-        index.complete(first, {"name": "seed2023", "ok": True})
+        index.complete(first, {"name": "seed2023", "key": first,
+                               "ok": True})
         index.fail(second, "boom")
         loaded = CampaignIndex.load(path)
         assert set(loaded.completed) == {first}
@@ -138,7 +141,8 @@ class TestCampaignIndex:
         # failed units stay pending so a resume retries them
         assert [unit["key"] for unit in loaded.pending_units()] == \
             [second]
-        loaded.complete(second, {"name": "seed2024", "ok": True})
+        loaded.complete(second, {"name": "seed2024", "key": second,
+                                 "ok": True})
         assert loaded.failed == {}
         assert [result["name"] for result in loaded.results()] == \
             ["seed2023", "seed2024"]
@@ -331,16 +335,52 @@ class TestAggregator:
         assert "FAILED b: worker died" in report.render()
 
 
+class TestSweepCLIErrors:
+    """Bad campaign input exits 2 with one stderr line, no traceback."""
+
+    def test_self_served_store_needs_workers(self, tmp_path, capsys):
+        out = tmp_path / "campaign"
+        code = main(["sweep", "run", "--seeds", "1", "--workers", "1",
+                     "--stage", "probe", "--store-backend", "http",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--workers" in err[0]
+        assert not (out / "campaign.json").exists()
+
+    def test_malformed_ledger_result_exits_2(self, tmp_path, capsys,
+                                             config):
+        out = tmp_path / "campaign"
+        specs = [unit.to_json() for unit in expand_grid(config, seeds=1)]
+        index = CampaignIndex.create(out / "campaign.json", specs, "full")
+        key = specs[0]["key"]
+        # A ledger from an older build, or edited by hand, can hold a
+        # result SweepAggregator would die on.
+        index.complete(key, {"key": key, "scalars": [1]})
+        with pytest.raises(ValueError) as raised:
+            CampaignIndex.load(out / "campaign.json")
+        assert str(out / "campaign.json") in str(raised.value)
+        assert key in str(raised.value)
+        for command in ("report", "resume"):
+            assert main(["sweep", command, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err and "scalars" in err
+
+
 @pytest.fixture(scope="module")
 def sweep_root(tmp_path_factory):
-    """Shared scratch dir: the pooled campaign warms ``cache`` for the
+    """Shared scratch dir: the cluster campaign warms ``cache`` for the
     serial-reference and CLI tests."""
     return tmp_path_factory.mktemp("sweep")
 
 
 @pytest.fixture(scope="module")
 def pooled(sweep_root):
-    """A real 2-seed probe-stage campaign across a 2-worker process pool."""
+    """A real 2-seed probe-stage campaign on the 2-worker one-host
+    cluster (``workers=2``: a fabric coordinator plus two spawned
+    worker processes)."""
     units = expand_grid(StudyConfig(), seeds=2, stage="probe")
     runner = SweepRunner(units, index_path=sweep_root / "pool.json",
                          workers=2, cache_dir=sweep_root / "cache")
@@ -348,7 +388,8 @@ def pooled(sweep_root):
 
 
 class TestProcessPool:
-    """End-to-end: real studies, real spawn workers, shared store."""
+    """End-to-end: real studies in the spawned worker processes of the
+    one-host cluster that ``workers > 1`` runs, over a shared store."""
 
     def test_pool_completes_all_units(self, pooled):
         units, result = pooled
@@ -395,3 +436,15 @@ class TestProcessPool:
         assert main(["sweep", "resume", "--out", str(out)]) == 0
         assert main(["sweep", "report", "--out", str(out)]) == 0
         assert "sweep OK" in capsys.readouterr().out
+
+    def test_cluster_run_leaves_obs_context_alone(self, sweep_root,
+                                                  pooled):
+        units, _ = pooled
+        obs.deactivate()
+        before = obs.current()
+        result = SweepRunner(units[:1],
+                             index_path=sweep_root / "obs.json",
+                             workers=2,
+                             cache_dir=sweep_root / "cache").run()
+        assert result.ok
+        assert obs.current() is before
