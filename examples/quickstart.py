@@ -21,9 +21,7 @@ from repro.study import StudyConfig, get_study
 
 def main(seed=2023):
     print(f"Building the study world (seed={seed})...")
-    # Probe with 4 workers — the engine guarantees output identical to
-    # the serial path, so only the wall-clock changes.
-    study = get_study(StudyConfig(seed=seed, probe_jobs=4))
+    study = get_study(StudyConfig(seed=seed))
     dataset = study.dataset
     print(f"  devices: {dataset.device_count}, "
           f"vendors: {dataset.vendor_count}, "

@@ -41,8 +41,8 @@ Commands:
   unmatched 97.45% with per-fingerprint confidences;
 - ``verify``    differential conformance: ``record``/``check`` golden
   baselines, run the execution-mode equivalence ``matrix`` (serial,
-  parallel, cached, fault-injected, permuted trust stores, and the
-  fabric cluster backend), evaluate the paper ``invariants``,
+  cached, fault-injected, permuted trust stores, and the fabric
+  cluster backend), evaluate the paper ``invariants``,
   digest-check the deterministic ``ml`` eval report against its
   committed baseline;
 - ``sweep``     resumable multi-config campaigns: ``run`` a seed grid
@@ -61,7 +61,7 @@ Commands:
   self-time, metric table, manifest line).
 
 Every study command is *config-first*: the shared flags ``--seed``,
-``--jobs``, ``--retries``, and ``--trust-stores`` build one
+``--retries``, and ``--trust-stores`` build one
 :class:`~repro.config.StudyConfig` (via :func:`config_from_args`), so no
 command silently drops an engine knob.
 
@@ -110,10 +110,6 @@ DEFAULT_ML_REPORT = "ml_eval.json"
 def _add_config(parser):
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="world seed (default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for probing and analysis "
-                             "(default %(default)s; output is identical "
-                             "for any value)")
     parser.add_argument("--retries", type=int, default=3,
                         help="attempt budget per probe "
                              "(default %(default)s)")
@@ -146,7 +142,7 @@ def config_from_args(args):
     stores = tuple(name.strip()
                    for name in args.trust_stores.split(",")
                    if name.strip())
-    return StudyConfig(seed=args.seed, probe_jobs=args.jobs,
+    return StudyConfig(seed=args.seed,
                        retry=RetryPolicy(max_attempts=args.retries),
                        trust_stores=stores)
 
@@ -221,7 +217,7 @@ def cmd_report(args):
     study, status = _study_or_status(args)
     if study is None:
         return status
-    results = run_full_study(study, jobs=args.jobs)
+    results = run_full_study(study)
     with obs.span("cli.render_report"):
         text = render_report(results, seed=args.seed)
     if args.output == "-":
@@ -482,7 +478,7 @@ def cmd_verify_record(args):
     study, status = _study_or_status(args)
     if study is None:
         return status
-    results, snapshots = run_and_snapshot(study, jobs=args.jobs)
+    results, snapshots = run_and_snapshot(study)
     summary = invariant_summary(study, results)
     args.invariants = summary
     print(render_invariants(summary))
@@ -504,7 +500,7 @@ def cmd_verify_check(args):
     study, status = _study_or_status(args)
     if study is None:
         return status
-    results, snapshots = run_and_snapshot(study, jobs=args.jobs)
+    results, snapshots = run_and_snapshot(study)
     summary = invariant_summary(study, results)
     args.invariants = summary
     try:
@@ -522,17 +518,14 @@ def cmd_verify_check(args):
 
 
 def cmd_verify_matrix(args):
-    from repro.verify import EquivalenceMatrix, default_modes
+    from repro.verify import EquivalenceMatrix
     try:
         config = config_from_args(args)
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     args.config = config
-    parallel_jobs = args.jobs if args.jobs > 1 else 4
-    matrix = EquivalenceMatrix(
-        base_config=config, modes=default_modes(parallel_jobs))
-    report = matrix.run()
+    report = EquivalenceMatrix(base_config=config).run()
     print(report.render())
     _write_verify_report(args, report.to_json())
     return 0 if report.ok else 1
@@ -544,7 +537,7 @@ def cmd_verify_invariants(args):
     study, status = _study_or_status(args)
     if study is None:
         return status
-    results = run_full_study(study, jobs=args.jobs)
+    results = run_full_study(study)
     summary = invariant_summary(study, results)
     args.invariants = summary
     print(render_invariants(summary))
@@ -1275,8 +1268,8 @@ def build_parser():
     p_vcheck.set_defaults(func=cmd_verify_check)
     p_vmatrix = verify_sub.add_parser(
         "matrix",
-        help="prove execution modes equivalent (serial/parallel, "
-             "cold/warm cache, faults+retries, store permutations)")
+        help="prove execution modes equivalent (serial, cold/warm "
+             "cache, faults+retries, store permutations, cluster)")
     _add_config(p_vmatrix)
     p_vmatrix.add_argument("--report", metavar="PATH", default=None,
                            help="also write per-mode node digests and "

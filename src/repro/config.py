@@ -1,10 +1,10 @@
 """Study configuration: one frozen value object drives everything.
 
 A :class:`StudyConfig` pins every knob a study run has — the world seed,
-the probing vantage points, the probe engine's concurrency and retry
-policy, and which major trust stores the validator unions — so a study is
-reproducible from its config alone.  It is hashable (all-frozen fields),
-which is what lets :func:`repro.study.get_study` memoize per config.
+the probing vantage points, the probe engine's retry policy, and which
+major trust stores the validator unions — so a study is reproducible from
+its config alone.  It is hashable (all-frozen fields), which is what lets
+:func:`repro.study.get_study` memoize per config.
 
 Construction is config-first everywhere: :func:`repro.study.get_study`
 and :class:`repro.study.Study` take a config (or nothing, for the
@@ -31,16 +31,12 @@ class StudyConfig:
     seed: int = DEFAULT_SEED
     #: vantage points the prober scans from (paper: NY/Frankfurt/SG).
     vantages: tuple = VANTAGE_POINTS
-    #: worker threads for the probe engine; 1 = the serial reference path.
-    probe_jobs: int = 1
     #: retry/backoff/timeout policy for every probe.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: which major stores the chain validator unions (Zeek-style).
     trust_stores: tuple = MAJOR_STORES
 
     def __post_init__(self):
-        if self.probe_jobs < 1:
-            raise ValueError("probe_jobs must be >= 1")
         if not self.vantages:
             raise ValueError("at least one vantage point is required")
         unknown = set(self.trust_stores) - set(MAJOR_STORES)
@@ -59,41 +55,15 @@ class StudyConfig:
         object.__setattr__(self, "trust_stores",
                            tuple(sorted(self.trust_stores)))
 
-    def with_seed(self, seed):
-        """This config with a different world seed."""
-        return StudyConfig(seed=seed, vantages=self.vantages,
-                           probe_jobs=self.probe_jobs, retry=self.retry,
-                           trust_stores=self.trust_stores)
-
-    def digest(self):
-        """A stable content hash of every field (run-manifest identity).
+    def artifact_digest(self):
+        """A stable content hash of every field.
 
         Two configs digest equally iff they compare equal; the digest is
-        stable across processes (canonical JSON, not ``hash()``), which
-        is what lets a :class:`~repro.obs.manifest.RunManifest` written
-        by one run be checked against a config built by another.
-        """
-        payload = {
-            "seed": self.seed,
-            "vantages": [asdict(vantage) for vantage in self.vantages],
-            "probe_jobs": self.probe_jobs,
-            "retry": asdict(self.retry),
-            "trust_stores": list(self.trust_stores),
-        }
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def artifact_digest(self):
-        """A content hash of the *result-determining* fields only.
-
-        The artifact store (:mod:`repro.store`) keys cached artifacts by
-        this digest: two configs that can only differ in wall-clock —
-        ``probe_jobs`` is pure concurrency, documented to never change
-        output bytes — share every artifact, so ``repro probe --jobs 8``
-        followed by ``repro report`` (jobs 1) is a cache hit.  Everything
-        that *can* change bytes (seed, vantages, retry budget, trust-store
-        selection) stays in.
+        stable across processes (canonical JSON, not ``hash()``).  The
+        artifact store (:mod:`repro.store`) keys cached artifacts by it,
+        sweep units build their keys on it, the golden baseline records
+        it, and a :class:`~repro.obs.manifest.RunManifest` records it as
+        the run's config identity.
         """
         payload = {
             "seed": self.seed,

@@ -7,12 +7,10 @@ figures.  Examples and the integration tests drive this.
 Since the ``repro.store`` refactor the hand-ordered call sequence is a
 *declarative registry*: :data:`CLIENT_ANALYSES` and
 :data:`SERVER_ANALYSES` list one :class:`~repro.store.scheduler.AnalysisSpec`
-per analysis (name, inputs, function), and an
-:class:`~repro.store.scheduler.AnalysisScheduler` executes the registry
-in dependency order — serially for ``jobs=1``, over a thread pool
-otherwise — with results byte-identical to the serial path at any worker
-count (the output dict is assembled in registry order, and every node is
-a pure function of its declared inputs).
+per analysis (name, inputs, function), declared in dependency order,
+and an :class:`~repro.store.scheduler.AnalysisScheduler` executes the
+registry in that order (the output dict keeps it, and every node is a
+pure function of its declared inputs).
 
 When the study carries an :class:`~repro.store.artifact.ArtifactStore`
 (``study.attach_store(...)``, or the CLI's ``--cache-dir``), every node
@@ -189,27 +187,24 @@ SERVER_ANALYSES = (
 )
 
 
-def _scheduler(specs, side, study, jobs, store, node_observer=None):
-    if jobs is None:
-        jobs = study.config.probe_jobs
+def _scheduler(specs, side, study, store, node_observer=None):
     if store is None:
         store = getattr(study, "store", None)
-    return AnalysisScheduler(specs, side=side, jobs=jobs, store=store,
+    return AnalysisScheduler(specs, side=side, store=store,
                              config=study.config,
                              node_observer=node_observer)
 
 
-def run_client_side(study, jobs=None, store=None, node_observer=None):
+def run_client_side(study, store=None, node_observer=None):
     """Section 4 + Appendix B analyses.
 
-    ``jobs`` defaults to the study config's worker count; ``store``
-    defaults to the study's attached artifact store (if any).
+    ``store`` defaults to the study's attached artifact store (if any).
     ``node_observer`` (see :class:`AnalysisScheduler`) lets the
     conformance harness watch every node's packed result.
     """
     with obs.span("analysis.client") as side_span:
-        scheduler = _scheduler(CLIENT_ANALYSES, "client", study, jobs,
-                               store, node_observer)
+        scheduler = _scheduler(CLIENT_ANALYSES, "client", study, store,
+                               node_observer)
         results = scheduler.run({
             "dataset": lambda: study.dataset,
             "corpus": lambda: study.corpus,
@@ -220,11 +215,11 @@ def run_client_side(study, jobs=None, store=None, node_observer=None):
     return results
 
 
-def run_server_side(study, jobs=None, store=None, node_observer=None):
+def run_server_side(study, store=None, node_observer=None):
     """Section 5 + Appendix C analyses."""
     with obs.span("analysis.server") as side_span:
-        scheduler = _scheduler(SERVER_ANALYSES, "server", study, jobs,
-                               store, node_observer)
+        scheduler = _scheduler(SERVER_ANALYSES, "server", study, store,
+                               node_observer)
         results = scheduler.run({
             "dataset": lambda: study.dataset,
             "certificates": lambda: study.certificates,
@@ -238,12 +233,16 @@ def run_server_side(study, jobs=None, store=None, node_observer=None):
 
 
 def run_full_study(study, jobs=None, store=None, node_observer=None):
-    """Everything, in paper order."""
+    """Everything, in paper order.
+
+    ``jobs`` is accepted and ignored: perfbench's report-cold workload
+    still passes ``jobs=1``.
+    """
     with obs.span("analysis.full_study"):
         return {
-            "client": run_client_side(study, jobs=jobs, store=store,
+            "client": run_client_side(study, store=store,
                                       node_observer=node_observer),
-            "server": run_server_side(study, jobs=jobs, store=store,
+            "server": run_server_side(study, store=store,
                                       node_observer=node_observer),
         }
 

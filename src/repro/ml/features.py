@@ -19,13 +19,14 @@ fixed-width numpy vector:
 Hashing uses SHA-256 over ``"{seed}|{token}"`` — never Python's
 ``hash()`` — so the column a token lands in is a pure function of the
 token and the extractor seed: stable across processes, platforms, and
-``PYTHONHASHSEED``.  The seed itself derives from
-:meth:`repro.config.StudyConfig.digest` of the :func:`training_config`
-via :func:`feature_seed`, which is what makes the whole train/eval
-pipeline conformance-checkable.
+``PYTHONHASHSEED``.  The seed itself derives from a canonical hash of
+the :func:`training_config` via :func:`feature_seed`, which is what
+makes the whole train/eval pipeline conformance-checkable.
 """
 
 import hashlib
+import json
+from dataclasses import asdict
 
 try:
     import numpy as np
@@ -49,9 +50,9 @@ def training_config(config):
 
     Training and eval read only the capture, the corpus and the world's
     ground truth, which the seed alone determines.  Probe-side knobs
-    (concurrency, retry budget, trust stores, vantages) therefore map
-    to the seed's default config: they move neither a feature index nor
-    the model's identity.
+    (retry budget, trust stores, vantages) therefore map to the seed's
+    default config: they move neither a feature index nor the model's
+    identity.
     """
     return StudyConfig(seed=config.seed)
 
@@ -64,7 +65,13 @@ def feature_seed(config):
     to the study seed, which is what makes two runs of the same config
     produce byte-identical eval reports.
     """
-    return int(training_config(config).digest()[:16], 16)
+    # The hashed payload still carries the retired ``probe_jobs`` field
+    # at its only value, 1: dropping it would move every feature column
+    # and the split, and with them the committed ML eval digest.
+    payload = dict(asdict(training_config(config)), probe_jobs=1)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return int(hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16],
+               16)
 
 
 def fingerprint_tokens(fp):

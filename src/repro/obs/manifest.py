@@ -6,7 +6,7 @@ numbers are only meaningful given the exact capture configuration.  A
 artifact it sits next to:
 
 - the world ``seed`` and the full ``StudyConfig`` content digest
-  (:meth:`repro.config.StudyConfig.digest`),
+  (:meth:`repro.config.StudyConfig.artifact_digest`),
 - the package ``version``,
 - per-stage wall-clock ``stage_timings`` from the tracer,
 - the deterministic ``metrics`` snapshot,
@@ -56,9 +56,10 @@ class RunManifest:
         """Assemble a manifest from a config and a live obs context.
 
         ``config`` duck-types :class:`repro.config.StudyConfig` (needs
-        ``.seed`` and ``.digest()``); ``obs_ctx`` may be disabled, in
-        which case timings and metrics are empty.  ``store`` is an
-        optional :class:`~repro.store.artifact.ArtifactStore` whose
+        ``.seed`` and ``.artifact_digest()``); ``obs_ctx`` may be
+        disabled, in which case timings and metrics are empty.
+        ``store`` is an optional
+        :class:`~repro.store.artifact.ArtifactStore` whose
         cache traffic (:meth:`provenance`) the manifest records;
         ``invariants`` an optional paper-invariant result summary
         (:func:`repro.verify.invariants.invariant_summary`).
@@ -73,7 +74,7 @@ class RunManifest:
         return cls(
             command=command,
             seed=config.seed,
-            config_digest=config.digest(),
+            config_digest=config.artifact_digest(),
             version=__version__,
             started_at=started_at if started_at is not None else now,
             finished_at=finished_at if finished_at is not None else now,

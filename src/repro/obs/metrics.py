@@ -7,8 +7,9 @@ to sit on the probe hot path (one lock acquisition per update).
 Snapshots are *deterministic*: they contain only values that are a pure
 function of the seed and config — counts, taxonomies, simulated-latency
 buckets — never wall-clock readings (those belong to the tracer).  That
-is what lets ``--jobs 4`` and ``--jobs 1`` produce byte-identical metric
-snapshots, which tests and the run manifest rely on.
+is what lets the probe engine's pool and its serial path produce
+byte-identical metric snapshots, which tests and the run manifest rely
+on.
 """
 
 import threading

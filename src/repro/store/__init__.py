@@ -16,9 +16,8 @@ reproduction the same shape:
   all degrade to a cache miss, never to wrong bytes.
 - :class:`~repro.store.scheduler.AnalysisScheduler` — executes a
   declarative registry of :class:`~repro.store.scheduler.AnalysisSpec`
-  nodes in dependency (topological) order over a thread pool.  Results
-  are byte-identical to the serial path at any ``jobs`` value, and every
-  node transparently consults the store before computing.
+  nodes in their declaration order, which follows the dependencies, and
+  every node transparently consults the store before computing.
 - :class:`~repro.store.campaign.CampaignIndex` — the atomic (temp file +
   rename, like ``.art`` entries) campaign-level ledger a multi-config
   sweep (:mod:`repro.sweep`) writes after every finished unit, so a

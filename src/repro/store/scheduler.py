@@ -1,21 +1,16 @@
-"""Dependency-aware concurrent execution of the analysis registry.
+"""In-order execution of the analysis registry.
 
 :mod:`repro.core.pipeline` used to hand-order ~30 analysis calls; the
-registry/scheduler split makes the ordering *data*: each analysis is an
+registry/scheduler split makes the wiring *data*: each analysis is an
 :class:`AnalysisSpec` naming its inputs, and :class:`AnalysisScheduler`
-runs the registry in topological order — serially for ``jobs=1``, over a
-thread pool otherwise.
+runs the registry in declaration order, which must follow the
+dependencies (the constructor rejects a node that consumes a result key
+only a later node provides).
 
-Determinism contract: the returned mapping is byte-identical to the
-serial path at any ``jobs`` value.  Three properties make that hold:
-
-- every analysis is a pure function of its declared inputs, so execution
-  *order* can't change any value;
-- worker interleaving only decides *when* a node runs, never what it
-  sees — a node is submitted only after every input is resolved;
-- the output mapping is assembled after the run, in registry declaration
-  order, so key order (and therefore serialized bytes) never depends on
-  completion order.
+Determinism contract: every analysis is a pure function of its declared
+inputs, and the returned mapping is assembled in registry declaration
+order, so its key order (and therefore serialized bytes) is fixed by
+the registry alone.
 
 When a store is attached, each cacheable node consults it before
 computing (stage name ``analysis.<side>.<name>``), which is what makes a
@@ -25,8 +20,6 @@ dataset, the certificate capture, the validator...) are resolved
 world generation or probing at all.
 """
 
-import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -73,29 +66,26 @@ class _LazyResources:
     def __init__(self, mapping):
         self._mapping = dict(mapping)
         self._resolved = {}
-        self._lock = threading.RLock()
 
     def __contains__(self, name):
         return name in self._mapping
 
     def resolve(self, name):
-        with self._lock:
-            if name not in self._resolved:
-                provider = self._mapping[name]
-                self._resolved[name] = provider() \
-                    if callable(provider) else provider
-            return self._resolved[name]
+        if name not in self._resolved:
+            provider = self._mapping[name]
+            self._resolved[name] = provider() \
+                if callable(provider) else provider
+        return self._resolved[name]
 
 
 class AnalysisScheduler:
-    """Runs one registry of specs in dependency order.
+    """Runs one registry of specs in declaration order.
 
     Args:
-        specs: the registry, in the declaration order the output mapping
-            should have.
+        specs: the registry, in dependency order; it is also the key
+            order of the output mapping.
         side: registry label (``"client"``/``"server"``); prefixes span
             and cache-stage names.
-        jobs: worker threads (1 = the serial reference path).
         store: optional :class:`~repro.store.artifact.ArtifactStore`.
         config: the :class:`~repro.config.StudyConfig` keying the store.
         node_observer: optional ``observer(stage_name, packed_value)``
@@ -103,27 +93,34 @@ class AnalysisScheduler:
             — whether computed or served from the store.  The
             conformance harness (:mod:`repro.verify`) uses this to
             collect per-node digests/snapshots without re-running
-            anything; observers may run on worker threads and must be
-            thread-safe for distinct stage names.
+            anything.
     """
 
-    def __init__(self, specs, side, jobs=1, store=None, config=None,
+    def __init__(self, specs, side, store=None, config=None,
                  node_observer=None):
         self.specs = tuple(specs)
         self.side = side
-        self.jobs = max(1, int(jobs))
         self.store = store
         self.config = config
         self.node_observer = node_observer
         names = [spec.name for spec in self.specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate analysis names in registry")
-        self._producer = {}
+        self._result_keys = set()
         for spec in self.specs:
             for key in spec.provides:
-                if key in self._producer:
+                if key in self._result_keys:
                     raise ValueError(f"result key {key!r} provided twice")
-                self._producer[key] = spec
+                self._result_keys.add(key)
+        provided = set()
+        for spec in self.specs:
+            for name in spec.inputs:
+                if name in self._result_keys and name not in provided:
+                    raise ValueError(
+                        f"analysis {spec.name!r} consumes {name!r} before "
+                        f"any node provides it; declare the registry in "
+                        f"dependency order (a dependency cycle has none)")
+            provided.update(spec.provides)
 
     def stage_name(self, spec):
         return f"analysis.{self.side}.{spec.name}"
@@ -141,7 +138,7 @@ class AnalysisScheduler:
                 return cached
         inputs = {}
         for name in spec.inputs:
-            if name in self._producer:
+            if name in self._result_keys:
                 inputs[name] = values[name]
             else:
                 inputs[name] = resources.resolve(name)
@@ -169,88 +166,15 @@ class AnalysisScheduler:
     # -- the run loop ---------------------------------------------------------
 
     def run(self, resources):
-        """Execute every node; returns ``{result key: value}``.
+        """Execute every node in order; returns ``{result key: value}``.
 
         ``resources`` maps base-input names to values or zero-argument
         callables (resolved lazily, once).  Key order of the returned
-        dict follows the registry declaration order regardless of
-        ``jobs``.
+        dict follows the registry declaration order.
         """
         resources = _LazyResources(resources)
         values = {}
-        dependents = {spec.name: [] for spec in self.specs}
-        blockers = {}
         for spec in self.specs:
-            needs = {self._producer[name].name for name in spec.inputs
-                     if name in self._producer}
-            needs.discard(spec.name)
-            blockers[spec.name] = needs
-            for upstream in needs:
-                dependents[upstream].append(spec.name)
-        by_name = {spec.name: spec for spec in self.specs}
-        ready = [spec for spec in self.specs if not blockers[spec.name]]
-        if len(ready) < len(self.specs):
-            self._check_acyclic(blockers)
-        if self.jobs == 1:
-            self._run_serial(ready, blockers, dependents, by_name,
-                             resources, values)
-        else:
-            self._run_pooled(ready, blockers, dependents, by_name,
-                             resources, values)
-        out = {}
-        for spec in self.specs:
-            for key in spec.provides:
-                out[key] = values[key]
-        return out
-
-    def _check_acyclic(self, blockers):
-        remaining = {name: set(needs)
-                     for name, needs in blockers.items()}
-        while remaining:
-            free = [name for name, needs in remaining.items()
-                    if not needs]
-            if not free:
-                raise ValueError(
-                    f"dependency cycle among {sorted(remaining)}")
-            for name in free:
-                del remaining[name]
-            for needs in remaining.values():
-                needs.difference_update(free)
-
-    def _run_serial(self, ready, blockers, dependents, by_name,
-                    resources, values):
-        queue = list(ready)
-        while queue:
-            spec = queue.pop(0)
             self._unpack(spec, self._execute(spec, resources, values),
                          values)
-            for name in dependents[spec.name]:
-                blockers[name].discard(spec.name)
-                if not blockers[name]:
-                    queue.append(by_name[name])
-
-    def _run_pooled(self, ready, blockers, dependents, by_name,
-                    resources, values):
-        lock = threading.Lock()
-        with ThreadPoolExecutor(max_workers=self.jobs,
-                                thread_name_prefix="analysis") as pool:
-            running = {
-                pool.submit(self._execute, spec, resources, values): spec
-                for spec in ready}
-            while running:
-                done, _pending = wait(running,
-                                      return_when=FIRST_COMPLETED)
-                for future in done:
-                    spec = running.pop(future)
-                    packed = future.result()  # re-raises node errors
-                    newly_ready = []
-                    with lock:
-                        self._unpack(spec, packed, values)
-                        for name in dependents[spec.name]:
-                            blockers[name].discard(spec.name)
-                            if not blockers[name]:
-                                newly_ready.append(by_name[name])
-                    for next_spec in newly_ready:
-                        running[pool.submit(self._execute, next_spec,
-                                            resources, values)] = \
-                            next_spec
+        return values

@@ -5,7 +5,7 @@ benchmarks, and examples share a memoized :class:`Study` per
 :class:`~repro.config.StudyConfig` instead of regenerating.  Expensive
 config-independent artifacts (the world, the simulated network, the
 library corpus) are additionally memoized per *seed*, so two configs that
-differ only in probe concurrency or trust-store selection share them.
+differ only in retry policy or trust-store selection share them.
 
 A study may also carry a persistent
 :class:`~repro.store.artifact.ArtifactStore`
@@ -152,9 +152,8 @@ class Study:
     def certificates(self):
         """The three-vantage certificate dataset (Section 5).
 
-        Probed by the parallel :class:`~repro.probing.engine.ProbeEngine`
-        under the config's concurrency and retry policy; the output is
-        byte-identical across worker counts for a given seed.
+        Probed by a one-worker :class:`~repro.probing.engine.ProbeEngine`
+        under the config's vantages and retry policy.
         Store-backed: with an attached artifact store, a cached dataset
         is reused without building the network or probing.
         """
@@ -165,10 +164,8 @@ class Study:
                     snis = [spec.fqdn for spec in self.world.servers]
                     engine = ProbeEngine(self.network,
                                          vantages=self.config.vantages,
-                                         jobs=self.config.probe_jobs,
                                          retry=self.config.retry)
                     certificates = engine.probe_all(snis)
-                    span.incr("jobs", self.config.probe_jobs)
                     self._store_put("certificates", certificates)
                 self._certificates = certificates
                 span.incr("snis", len(certificates))

@@ -151,7 +151,10 @@ class SweepReport:
                 lines.append(f"  {mark} {entry['scalar']:20s} within "
                              f"[{low}, {high}] (mean and every unit)")
         lines.append("sweep OK" if self.ok else "SWEEP CHECK FAILED")
-        return "\n".join(lines)
+        # Names and errors come from ledgers and worker reports: any
+        # JSON string, including a lone surrogate no terminal encodes.
+        return "\n".join(lines).encode(
+            "utf-8", "backslashreplace").decode("utf-8")
 
 
 class SweepAggregator:

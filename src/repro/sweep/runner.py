@@ -2,14 +2,13 @@
 
 A campaign is N independent :class:`~repro.sweep.grid.SweepUnit`\\ s.
 Each unit is a full study — world generation, probing, analysis — whose
-cost is CPU-bound Python, so the thread pools used elsewhere in the
-repository (probe engine, analysis scheduler) cannot scale a *sweep*
-past the GIL.  :class:`SweepRunner` runs ``workers == 1`` inline (the
-serial reference path) and ``workers > 1`` on a one-host
-:mod:`repro.fabric` cluster: a coordinator in this process plus that
-many spawned worker processes (spawn context: clean workers, identical
-behavior across platforms, and the same boundary the pickling
-regression tests guard), one study per worker process.
+cost is CPU-bound Python, so threads (such as the probe engine's pool)
+cannot scale a *sweep* past the GIL.  :class:`SweepRunner` runs
+``workers == 1`` inline (the serial reference path) and ``workers > 1``
+on a one-host :mod:`repro.fabric` cluster: a coordinator in this
+process plus that many spawned worker processes (spawn context: clean
+workers, identical behavior across platforms, and the same boundary
+the pickling regression tests guard), one study per worker process.
 
 Resumability: every completed unit is recorded in the
 :class:`~repro.store.campaign.CampaignIndex` ledger *as it finishes*
@@ -219,8 +218,21 @@ class SweepRunner:
 
 
 def campaign_units(index):
-    """The live :class:`SweepUnit`\\ s recorded in a campaign ledger."""
-    return [SweepUnit.from_json(spec) for spec in index.units]
+    """The live :class:`SweepUnit`\\ s recorded in a campaign ledger.
+
+    Raises a one-line ``ValueError`` naming the ledger and the unit's
+    position when a recorded spec cannot be read back (a ledger edited
+    by hand, or written by another build).
+    """
+    units = []
+    for position, spec in enumerate(index.units):
+        try:
+            units.append(SweepUnit.from_json(spec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"campaign index {index.path}: unit {position}: "
+                f"unreadable spec ({type(exc).__name__}: {exc})") from None
+    return units
 
 
 __all__ = ["CampaignResult", "SweepRunner", "campaign_id_for",

@@ -62,9 +62,8 @@ def _probe_via_engine(study, unit):
     latency = LatencyModel(seed=config.seed) if unit.time_scale > 0.0 \
         else None
     engine = ProbeEngine(target, vantages=config.vantages,
-                         jobs=config.probe_jobs, retry=config.retry,
-                         latency=latency, time_scale=unit.time_scale,
-                         seed=network.seed)
+                         retry=config.retry, latency=latency,
+                         time_scale=unit.time_scale, seed=network.seed)
     snis = [spec.fqdn for spec in study.world.servers]
     return study.adopt_certificates(engine.probe_all(snis))
 
@@ -149,7 +148,7 @@ def run_unit(payload):
             else:
                 node_digests = {}
                 results = run_full_study(
-                    study, jobs=1,
+                    study,
                     node_observer=lambda stage, packed:
                         node_digests.__setitem__(stage, digest(packed)))
                 scalars = _scalars(results)

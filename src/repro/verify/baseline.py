@@ -46,7 +46,7 @@ VOLATILE_NODES = frozenset({"analysis.server.probe_stats"})
 SNAPSHOT_BYTE_LIMIT = 200_000
 
 
-def run_and_snapshot(study, jobs=None, store=None):
+def run_and_snapshot(study, store=None):
     """Run the full pipeline once; returns ``(results, snapshots)``.
 
     ``results`` is :func:`repro.core.pipeline.run_full_study`'s nested
@@ -65,7 +65,7 @@ def run_and_snapshot(study, jobs=None, store=None):
     from repro.core.figures import figure_payloads
     from repro.core.report import render_report
     observed = {}
-    results = run_full_study(study, jobs=jobs, store=store,
+    results = run_full_study(study, store=store,
                              node_observer=observed.__setitem__)
     snapshots = {}
     for stage in analysis_stage_names():
@@ -86,9 +86,9 @@ def run_and_snapshot(study, jobs=None, store=None):
     return results, snapshots
 
 
-def collect_snapshots(study, jobs=None, store=None):
+def collect_snapshots(study, store=None):
     """Just the ``{node name: canonical tree}`` half of a snapshot run."""
-    _results, snapshots = run_and_snapshot(study, jobs=jobs, store=store)
+    _results, snapshots = run_and_snapshot(study, store=store)
     return snapshots
 
 
@@ -102,8 +102,7 @@ def _node_entry(tree):
     return entry
 
 
-def record_baseline(study, path, jobs=None, store=None,
-                    snapshots=None):
+def record_baseline(study, path, store=None, snapshots=None):
     """Record the golden baseline for ``study``'s config at ``path``.
 
     Pass ``snapshots`` (from :func:`run_and_snapshot`) to reuse an
@@ -111,11 +110,10 @@ def record_baseline(study, path, jobs=None, store=None,
     """
     from repro import __version__
     if snapshots is None:
-        snapshots = collect_snapshots(study, jobs=jobs, store=store)
+        snapshots = collect_snapshots(study, store=store)
     payload = {
         "format": BASELINE_FORMAT,
         "artifact_digest": study.config.artifact_digest(),
-        "config_digest": study.config.digest(),
         "seed": study.seed,
         "version": __version__,
         "volatile_nodes": sorted(VOLATILE_NODES),
@@ -215,7 +213,7 @@ class CheckReport:
         }
 
 
-def check_baseline(study, path, jobs=None, store=None, snapshots=None):
+def check_baseline(study, path, store=None, snapshots=None):
     """Re-run the pipeline and compare against the baseline at ``path``.
 
     Pass ``snapshots`` (from :func:`run_and_snapshot`) to reuse an
@@ -247,7 +245,7 @@ def check_baseline(study, path, jobs=None, store=None, snapshots=None):
             f"versions, re-record to refresh the key")
     volatile = set(payload.get("volatile_nodes", ())) | VOLATILE_NODES
     if snapshots is None:
-        snapshots = collect_snapshots(study, jobs=jobs, store=store)
+        snapshots = collect_snapshots(study, store=store)
     baseline_nodes = payload.get("nodes", {})
     ordered = [name for name in snapshots if name in baseline_nodes]
     ordered += [name for name in baseline_nodes

@@ -1,10 +1,10 @@
 """The equivalence matrix: one study, many execution modes, one answer.
 
-The repository's headline determinism claims — serial vs ``--jobs N``,
-cold vs warm cache, fault-injected vs clean (given retry budget), any
-trust-store spelling — were each spot-checked in whichever test file
-introduced them.  The matrix enforces them *systematically*: it executes
-the full pipeline under a configurable grid of
+The repository's headline determinism claims — cold vs warm cache,
+fault-injected vs clean (given retry budget), any trust-store spelling,
+inline vs the fabric cluster — were each spot-checked in whichever test
+file introduced them.  The matrix enforces them *systematically*: it
+executes the full pipeline under a configurable grid of
 :class:`ExecutionMode`\\ s, has the :class:`AnalysisScheduler` report a
 canonical digest per analysis node in every mode, and asserts that all
 modes agree node-for-node.  A failure names the first pair of modes and
@@ -32,7 +32,6 @@ class ExecutionMode:
 
     Attributes:
         name: display label (also the report column).
-        jobs: scheduler/probe worker threads.
         cache: ``"off"`` (no store), ``"cold"`` (fresh store), or
             ``"warm"`` (same store, second run — every node a hit).
         fault_rates: when set, probing goes through a
@@ -52,7 +51,6 @@ class ExecutionMode:
     """
 
     name: str
-    jobs: int = 1
     cache: str = "off"
     fault_rates: tuple = ()   # of (rate name, value) pairs; frozen-able
     retries: int = None
@@ -60,11 +58,10 @@ class ExecutionMode:
     backend: str = "inline"
 
 
-def default_modes(parallel_jobs=4):
+def default_modes():
     """The standard grid behind ``repro verify matrix``."""
     return (
         ExecutionMode("serial"),
-        ExecutionMode(f"jobs{parallel_jobs}", jobs=parallel_jobs),
         ExecutionMode("cache-cold", cache="cold"),
         ExecutionMode("cache-warm", cache="warm"),
         ExecutionMode("faults-retried",
@@ -154,7 +151,7 @@ class EquivalenceMatrix:
     # -- mode execution -------------------------------------------------------
 
     def _mode_config(self, mode):
-        config = replace(self.base_config, probe_jobs=max(1, mode.jobs))
+        config = self.base_config
         if mode.trust_stores is not None:
             config = replace(config, trust_stores=mode.trust_stores)
         if mode.retries is not None:
@@ -175,7 +172,6 @@ class EquivalenceMatrix:
                 study.network,
                 max_faulty_attempts=min(2, budget - 1), **rates)
             engine = ProbeEngine(injector, vantages=config.vantages,
-                                 jobs=config.probe_jobs,
                                  retry=config.retry,
                                  seed=study.network.seed)
             snis = [spec.fqdn for spec in study.world.servers]
@@ -229,11 +225,11 @@ class EquivalenceMatrix:
         if mode.cache == "warm":
             # Populate, then measure the all-hits run with fresh state.
             warmup = self._mode_study(mode, config).attach_store(store)
-            run_full_study(warmup, jobs=mode.jobs)
+            run_full_study(warmup)
         study = self._mode_study(mode, config).attach_store(store)
         digests = {}
         run_full_study(
-            study, jobs=mode.jobs,
+            study,
             node_observer=lambda stage, packed:
                 digests.__setitem__(stage, digest(packed)))
         return ModeResult(mode=mode, node_digests=digests)

@@ -44,18 +44,16 @@ class TestCommands:
 
     def test_probe_parallel_identical_output(self, tmp_path, study,
                                              capsys):
-        serial_out = tmp_path / "serial.jsonl"
-        parallel_out = tmp_path / "parallel.jsonl"
-        assert main(["probe", "-o", str(serial_out)]) == 0
-        assert main(["probe", "-o", str(parallel_out),
-                     "--jobs", "4", "--stats"]) == 0
-        assert serial_out.read_text() == parallel_out.read_text()
+        plain_out = tmp_path / "plain.jsonl"
+        stats_out = tmp_path / "stats.jsonl"
+        assert main(["probe", "-o", str(plain_out)]) == 0
+        assert main(["probe", "-o", str(stats_out), "--stats"]) == 0
+        assert plain_out.read_text() == stats_out.read_text()
         text = capsys.readouterr().out
         assert "retries" in text and "outcomes" in text
 
     def test_probe_flag_defaults(self):
         args = build_parser().parse_args(["probe"])
-        assert args.jobs == 1
         assert args.retries == 3
         assert args.stats is False
 

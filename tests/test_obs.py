@@ -8,6 +8,7 @@ surface.
 
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -393,19 +394,20 @@ class TestRunManifest:
                 obs.incr("n")
             manifest = RunManifest.from_run("report", config, ctx)
         assert manifest.seed == 5
-        assert manifest.config_digest == config.digest()
+        assert manifest.config_digest == config.artifact_digest()
         assert "stage" in manifest.stage_timings
         assert manifest.metrics["counters"]["n"] == 1
 
     def test_config_digest_stable_and_sensitive(self):
         base = StudyConfig()
-        assert base.digest() == StudyConfig(seed=2023).digest()
-        assert base.digest() != base.with_seed(7).digest()
-        assert base.digest() != StudyConfig(probe_jobs=4).digest()
-        assert base.digest() != StudyConfig(
-            retry=RetryPolicy(max_attempts=5)).digest()
-        assert base.digest() != StudyConfig(
-            trust_stores=("mozilla",)).digest()
+        assert base.artifact_digest() == \
+            StudyConfig(seed=2023).artifact_digest()
+        assert base.artifact_digest() != \
+            replace(base, seed=7).artifact_digest()
+        assert base.artifact_digest() != StudyConfig(
+            retry=RetryPolicy(max_attempts=5)).artifact_digest()
+        assert base.artifact_digest() != StudyConfig(
+            trust_stores=("mozilla",)).artifact_digest()
 
 
 class TestCLI:
@@ -435,7 +437,7 @@ class TestCLI:
         manifest = RunManifest.load(manifest_path_for(str(out)))
         assert manifest.command == "report"
         assert manifest.config_digest == \
-            StudyConfig(seed=2023).digest()
+            StudyConfig(seed=2023).artifact_digest()
         assert manifest.outputs == (str(out),)
         assert "validate.status" in manifest.metrics["families"]
         # The trace carries the same manifest as its final record.
@@ -446,11 +448,11 @@ class TestCLI:
 
     def test_probe_manifest_matches_probe_config(self, tmp_path, study):
         out = tmp_path / "certs.jsonl"
-        assert main(["probe", "-o", str(out), "--jobs", "2"]) == 0
+        assert main(["probe", "-o", str(out), "--retries", "4"]) == 0
         manifest = RunManifest.load(manifest_path_for(str(out)))
-        expected = StudyConfig(seed=2023, probe_jobs=2,
-                               retry=RetryPolicy(max_attempts=3))
-        assert manifest.config_digest == expected.digest()
+        expected = StudyConfig(seed=2023,
+                               retry=RetryPolicy(max_attempts=4))
+        assert manifest.config_digest == expected.artifact_digest()
 
     def test_trace_summary_renders(self, tmp_path, study, capsys):
         out = tmp_path / "report.md"

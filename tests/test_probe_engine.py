@@ -351,8 +351,6 @@ class TestStudyConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            StudyConfig(probe_jobs=0)
-        with pytest.raises(ValueError):
             StudyConfig(trust_stores=("mozilla", "netscape"))
         with pytest.raises(ValueError):
             StudyConfig(vantages=())
@@ -369,14 +367,6 @@ class TestStudyConfig:
         with pytest.raises(TypeError):
             get_study(StudyConfig(seed=1), seed=2)
 
-    def test_probe_jobs_config_changes_only_wallclock(self, study,
-                                                      certificates):
-        parallel_study = get_study(StudyConfig(probe_jobs=4))
-        assert parallel_study is not study
-        assert parallel_study.world is study.world  # seed-shared
-        assert parallel_study.certificates.fingerprint() == \
-            certificates.fingerprint()
-
     def test_trust_store_selection(self, study):
         mozilla_only = get_study(
             StudyConfig(trust_stores=("mozilla",)))
@@ -384,8 +374,3 @@ class TestStudyConfig:
         assert store is mozilla_only.ecosystem.stores["mozilla"] or \
             len(store) <= len(study.ecosystem.union_store)
         assert study.validator().store is study.ecosystem.union_store
-
-    def test_with_seed(self):
-        derived = StudyConfig(probe_jobs=4).with_seed(7)
-        assert derived.seed == 7
-        assert derived.probe_jobs == 4

@@ -7,8 +7,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.match import set_jaccard as jaccard
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import parse_prometheus, render_prometheus
 from repro.tlslib.clienthello import ClientHello
-from repro.tlslib.record import ContentType, decode_records, encode_records
+from repro.tlslib.errors import TLSParseError
+from repro.tlslib.record import (ContentType, decode_records, encode_records,
+                                 iter_handshake_messages)
 from repro.tlslib.versions import TLSVersion
 from repro.x509 import asn1
 from repro.x509.ca import CertificateAuthority
@@ -153,6 +157,82 @@ class TestCertificateDecodeFuzz:
         try:
             Certificate.from_der(blob)
         except X509Error:
+            pass
+
+
+@st.composite
+def edited(draw, original, element):
+    """``original`` as a list after one to three single-item
+    replacements, insertions or deletions; ``element`` draws new items."""
+    items = list(original)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if kind == "insert":
+            items.insert(draw(st.integers(0, len(items))), draw(element))
+        elif items:
+            pos = draw(st.integers(0, len(items) - 1))
+            if kind == "replace":
+                items[pos] = draw(element)
+            else:
+                del items[pos]
+    return items
+
+
+def _hello_bytes():
+    """A GREASE-decorated ClientHello handshake message with an SNI."""
+    return ClientHello(version=TLSVersion.TLS_1_2,
+                       ciphersuites=[0x0A0A, 0xC02B, 0xC02F, 0x009E, 0x002F],
+                       extensions=[0x1A1A, 10, 11, 13, 16, 43],
+                       sni="api.vendor.example", random=bytes(range(32)),
+                       session_id=b"\x07" * 8).to_bytes()
+
+
+def _prometheus_page():
+    """Exposition text with every metric kind and an escaped label."""
+    registry = MetricsRegistry()
+    registry.counter("probe.attempts").inc(42)
+    registry.gauge("serve.ratio").set(0.25)
+    registry.family("serve.errors").inc('quote"back\\slash\nline', 2)
+    latency = registry.histogram("http.latency_ms",
+                                 ((1.0, "<1ms"), (float("inf"), ">=1ms")))
+    for ms in (0.5, 3.0):
+        latency.observe(ms)
+    return render_prometheus(registry.snapshot())
+
+
+HELLO_MUTANTS = edited(_hello_bytes(), st.integers(0, 255)).map(bytes)
+PROMETHEUS_MUTANTS = edited(_prometheus_page(), st.characters()).map("".join)
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestCleanParserFuzz:
+    """Parsers that a mutation census found clean stay clean: a valid
+    input one to three edits away either parses or fails with the
+    parser's own error."""
+
+    @FUZZ
+    @given(blob=HELLO_MUTANTS)
+    def test_client_hello_raises_only_tls_parse_error(self, blob):
+        try:
+            ClientHello.from_bytes(blob)
+        except TLSParseError:
+            pass
+
+    @FUZZ
+    @given(blob=HELLO_MUTANTS)
+    def test_handshake_messages_raise_only_tls_parse_error(self, blob):
+        try:
+            list(iter_handshake_messages(blob))
+        except TLSParseError:
+            pass
+
+    @FUZZ
+    @given(text=PROMETHEUS_MUTANTS)
+    def test_prometheus_parser_raises_only_value_error(self, text):
+        try:
+            parse_prometheus(text)
+        except ValueError:
             pass
 
 

@@ -2,12 +2,13 @@
 
 Covers the ``repro.store`` contract: content-addressed round trips,
 corruption/partial-write recovery, version-mismatch invalidation,
-scheduler determinism at any ``jobs`` value, ``--no-cache`` bypass, and
-the probe → report CLI round trip reusing the certificate artifact.
+in-order scheduler execution, ``--no-cache`` bypass, and the probe →
+report CLI round trip reusing the certificate artifact.
 """
 
 import json
-import pickle
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -41,19 +42,14 @@ class TestArtifactStore:
         assert store.miss_stages == ["survey"]
 
     def test_key_separates_stages_and_configs(self, store, config):
-        other = config.with_seed(7)
+        other = replace(config, seed=7)
         assert store.key(config, "a") != store.key(config, "b")
         assert store.key(config, "a") != store.key(other, "a")
-
-    def test_artifact_digest_ignores_concurrency(self, config):
-        parallel = StudyConfig(probe_jobs=8)
-        assert config.digest() != parallel.digest()
-        assert config.artifact_digest() == parallel.artifact_digest()
 
     def test_artifact_digest_tracks_semantics(self, config):
         from repro.probing.engine import RetryPolicy
         assert config.artifact_digest() != \
-            config.with_seed(7).artifact_digest()
+            replace(config, seed=7).artifact_digest()
         assert config.artifact_digest() != StudyConfig(
             retry=RetryPolicy(max_attempts=5)).artifact_digest()
         assert config.artifact_digest() != StudyConfig(
@@ -63,7 +59,6 @@ class TestArtifactStore:
         permuted = StudyConfig(
             trust_stores=("apple", "mozilla", "microsoft"))
         assert permuted == config
-        assert permuted.digest() == config.digest()
         assert permuted.artifact_digest() == config.artifact_digest()
 
     def test_corrupt_payload_is_a_miss_and_deleted(self, store, config):
@@ -148,11 +143,7 @@ class TestScheduler:
 
     def test_serial_and_pooled_identical(self):
         serial = AnalysisScheduler(self.SPECS, side="t").run({"x": 10})
-        pooled = AnalysisScheduler(self.SPECS, side="t",
-                                   jobs=4).run({"x": 10})
-        assert serial == pooled
         assert list(serial) == ["base", "double", "lo", "hi", "tail"]
-        assert pickle.dumps(serial) == pickle.dumps(pooled)
         assert serial == {"base": 11, "double": 22, "lo": 11, "hi": 22,
                           "tail": 27}
 
@@ -186,36 +177,29 @@ class TestScheduler:
         def boom(_r):
             raise RuntimeError("node failed")
         specs = (AnalysisSpec("a", fn=boom),)
-        for jobs in (1, 3):
-            with pytest.raises(RuntimeError, match="node failed"):
-                AnalysisScheduler(specs, side="t", jobs=jobs).run({})
+        with pytest.raises(RuntimeError, match="node failed"):
+            AnalysisScheduler(specs, side="t").run({})
 
 
 class TestPipelineDeterminism:
-    # One full-study reference per session; scheduled/cached runs must
-    # render byte-identically to it.
+    # One full-study reference per session; cached runs must render
+    # byte-identically to it.
 
     @pytest.fixture(scope="class")
     def reference(self, study):
-        results = pipeline.run_full_study(study, jobs=1)
+        results = pipeline.run_full_study(study)
         return results, render_report(results, seed=study.seed,
                                       generated_at=0)
-
-    def test_scheduled_matches_serial(self, study, reference):
-        _results, reference_text = reference
-        scheduled = pipeline.run_full_study(study, jobs=4)
-        assert render_report(scheduled, seed=study.seed,
-                             generated_at=0) == reference_text
 
     def test_cold_then_warm_cache_match_serial(self, tmp_path, study,
                                                reference):
         _results, reference_text = reference
         store = ArtifactStore(tmp_path / "cache")
-        cold = pipeline.run_full_study(study, jobs=2, store=store)
+        cold = pipeline.run_full_study(study, store=store)
         assert render_report(cold, seed=study.seed,
                              generated_at=0) == reference_text
         assert store.written_stages  # cold run populated the cache
-        warm = pipeline.run_full_study(study, jobs=2, store=store)
+        warm = pipeline.run_full_study(study, store=store)
         assert render_report(warm, seed=study.seed,
                              generated_at=0) == reference_text
         assert len(store.hit_stages) >= len(pipeline.CLIENT_ANALYSES)
@@ -252,26 +236,35 @@ class TestStoreBackedStudy:
         assert fresh.dataset.records[0] == dataset.records[0]
 
 
-def _fresh_cli_study():
-    """Simulate a new process: drop the per-config Study memo."""
+@pytest.fixture
+def fresh_cli_study(monkeypatch):
+    """Simulate a new process: each call swaps in an empty per-config
+    Study memo.  The shared memo is restored after the test, so later
+    ``get_study()`` calls still return the session ``study``."""
     from repro import study as study_module
-    study_module._study_for_config.cache_clear()
+    build = study_module._study_for_config.__wrapped__
+
+    def fresh():
+        monkeypatch.setattr(study_module, "_study_for_config",
+                            lru_cache(maxsize=8)(build))
+    return fresh
 
 
 class TestCachingCLI:
     def test_probe_then_report_reuses_certificates(self, tmp_path,
-                                                   study, capsys):
+                                                   study, capsys,
+                                                   fresh_cli_study):
         from repro.cli import main
         cache = tmp_path / "cache"
         probe_out = tmp_path / "certs.jsonl"
         report_out = tmp_path / "report.md"
-        _fresh_cli_study()
+        fresh_cli_study()
         assert main(["probe", "-o", str(probe_out),
                      "--cache-dir", str(cache)]) == 0
         probe_manifest = RunManifest.load(
             manifest_path_for(str(probe_out)))
         assert "certificates" in probe_manifest.cache["writes"]
-        _fresh_cli_study()
+        fresh_cli_study()
         assert main(["report", "-o", str(report_out),
                      "--cache-dir", str(cache)]) == 0
         manifest = RunManifest.load(manifest_path_for(str(report_out)))
@@ -282,15 +275,16 @@ class TestCachingCLI:
         assert report_out.read_text().startswith("# IoT TLS")
 
     def test_warm_report_identical_and_all_hits(self, tmp_path, study,
-                                                capsys):
+                                                capsys,
+                                                fresh_cli_study):
         from repro.cli import main
         cache = tmp_path / "cache"
         out_cold = tmp_path / "cold.md"
         out_warm = tmp_path / "warm.md"
-        _fresh_cli_study()
+        fresh_cli_study()
         assert main(["report", "-o", str(out_cold),
                      "--cache-dir", str(cache)]) == 0
-        _fresh_cli_study()
+        fresh_cli_study()
         assert main(["report", "-o", str(out_warm),
                      "--cache-dir", str(cache)]) == 0
         assert out_cold.read_bytes() == out_warm.read_bytes()
@@ -394,7 +388,6 @@ class TestCachingCLI:
                 argv.append("all")
             args = parser.parse_args(argv)
             assert args.seed == 2023
-            assert args.jobs == 1
             assert args.retries == 3
             assert args.trust_stores == "mozilla,apple,microsoft"
             assert args.cache_dir is None and args.no_cache is False
@@ -402,11 +395,10 @@ class TestCachingCLI:
     def test_config_from_args_builds_full_config(self):
         from repro.cli import build_parser, config_from_args
         args = build_parser().parse_args(
-            ["report", "--seed", "7", "--jobs", "3", "--retries", "5",
+            ["report", "--seed", "7", "--retries", "5",
              "--trust-stores", "apple,mozilla"])
         config = config_from_args(args)
         assert config.seed == 7
-        assert config.probe_jobs == 3
         assert config.retry.max_attempts == 5
         assert config.trust_stores == ("apple", "mozilla")
 

@@ -336,7 +336,8 @@ class TestAggregator:
 
 
 class TestSweepCLIErrors:
-    """Bad campaign input exits 2 with one stderr line, no traceback."""
+    """Bad campaign input never ends in a traceback: an unusable ledger
+    exits 2 with one stderr line."""
 
     def test_self_served_store_needs_workers(self, tmp_path, capsys):
         out = tmp_path / "campaign"
@@ -367,6 +368,37 @@ class TestSweepCLIErrors:
             err = capsys.readouterr().err
             assert len(err.strip().splitlines()) == 1
             assert "Traceback" not in err and "scalars" in err
+
+    def test_unreadable_unit_spec_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "campaign"
+        # The ledger parses, but its one unit spec has no ``seed``.
+        CampaignIndex.create(out / "campaign.json",
+                             [{"name": "a", "key": "k1"}], "full")
+        for command in ("report", "resume"):
+            assert main(["sweep", command, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
+            assert str(out / "campaign.json") in err
+            assert "unit 0" in err and "seed" in err
+
+    def test_report_escapes_lone_surrogates(self, tmp_path, capsys,
+                                            config):
+        out = tmp_path / "campaign"
+        specs = [unit.to_json() for unit in expand_grid(config, seeds=2)]
+        index = CampaignIndex.create(out / "campaign.json", specs, "full")
+        # Legal JSON escapes that UTF-8 cannot encode, as a worker or a
+        # /fabric/fail body may send them.
+        result = _fake_result("a")
+        result["key"] = specs[0]["key"]
+        result["scalars"]["m\ud800"] = 0.5
+        index.complete(specs[0]["key"], result)
+        index.fail(specs[1]["key"], "worker died \udc80")
+        assert main(["sweep", "report", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "m\\ud800" in captured.out
+        assert "worker died \\udc80" in captured.out
+        assert "Traceback" not in captured.err
 
 
 @pytest.fixture(scope="module")

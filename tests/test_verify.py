@@ -268,8 +268,8 @@ class TestBaselineRoundTrip:
 # --- equivalence matrix --------------------------------------------------------------
 
 
-def _fake_result(name, digests, jobs=1):
-    return ModeResult(mode=ExecutionMode(name, jobs=jobs),
+def _fake_result(name, digests):
+    return ModeResult(mode=ExecutionMode(name),
                       node_digests=dict(digests))
 
 
@@ -278,7 +278,7 @@ class TestMatrixReporting:
         digests = {"analysis.client.matching": "aa",
                    "analysis.server.survey": "bb"}
         report = compare_results([_fake_result("serial", digests),
-                                  _fake_result("jobs4", digests, 4)])
+                                  _fake_result("cluster", digests)])
         assert report.ok
         assert "equivalent" in report.render()
 
@@ -289,10 +289,10 @@ class TestMatrixReporting:
         broken = dict(base, **{"analysis.client.versions": "XX",
                                "analysis.server.survey": "YY"})
         report = compare_results([_fake_result("serial", base),
-                                  _fake_result("jobs4", broken, 4)])
+                                  _fake_result("cluster", broken)])
         assert not report.ok
         mode_a, mode_b, node, dig_a, dig_b = report.first_mismatch
-        assert (mode_a, mode_b) == ("serial", "jobs4")
+        assert (mode_a, mode_b) == ("serial", "cluster")
         # versions precedes survey in paper order, so it is first even
         # though survey sorts earlier alphabetically.
         assert node == "analysis.client.versions"
@@ -319,18 +319,17 @@ class TestMatrixReporting:
 class TestMatrixExecution:
     def test_serial_parallel_cold_warm_equivalent(self, study,
                                                   tmp_path):
-        # The acceptance grid: serial vs --jobs and cold vs warm cache
-        # must be byte-identical for the default config.
+        # The acceptance grid: serial vs cold and warm cache must be
+        # byte-identical for the default config.
         matrix = EquivalenceMatrix(
             base_config=study.config,
             modes=(ExecutionMode("serial"),
-                   ExecutionMode("jobs2", jobs=2),
                    ExecutionMode("cache-cold", cache="cold"),
                    ExecutionMode("cache-warm", cache="warm")),
             workdir=str(tmp_path))
         report = matrix.run()
         assert report.ok, report.render()
-        assert report.mode_names() == ["serial", "jobs2", "cache-cold",
+        assert report.mode_names() == ["serial", "cache-cold",
                                        "cache-warm"]
         # Every mode reported a digest for every analysis node.
         counts = {len(result.comparable_digests())
@@ -436,4 +435,3 @@ class TestVerifyCLI:
         args = build_parser().parse_args(["verify", "check"])
         assert args.baseline == DEFAULT_BASELINE
         assert args.report is None
-        assert args.jobs == 1
