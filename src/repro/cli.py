@@ -883,13 +883,19 @@ def cmd_fabric_serve(args):
     from repro.store import CampaignIndex
     from repro.sweep import expand_grid, parse_grid
     index_path = os.path.join(args.out, "campaign.json")
-    try:
-        index = _load_campaign(args)
+    if os.path.exists(index_path):
+        # A ledger that cannot be read is refused, never replaced: its
+        # completed units would be lost.
+        try:
+            index = _load_campaign(args)
+        except ValueError as exc:
+            print(f"fabric serve: {exc}", file=sys.stderr)
+            return 2
         spec = index.store_spec
         print(f"fabric serve: resuming campaign "
               f"{index.campaign_id[:12]} ({len(index.completed)}/"
               f"{len(index.units)} units complete)")
-    except ValueError:
+    else:
         try:
             config = config_from_args(args)
             units = expand_grid(config, seeds=args.seeds,

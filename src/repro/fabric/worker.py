@@ -28,11 +28,13 @@ claim thread per process comes from.
 
 ``worker_main`` is the top-level entry of ``repro fabric worker`` and
 of each process ``repro sweep run --workers N`` spawns; it must stay
-importable from a clean interpreter.  It records into the caller's
-observability context and never switches one on.
+importable from a clean interpreter, and nothing on its import path may
+load numpy, so that it can pin BLAS to one thread first.  It records
+into the caller's observability context and never switches one on.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -209,14 +211,27 @@ class FabricWorker:
         self.stop_event.set()
 
 
+#: thread-count variables of the BLAS builds numpy may load.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
 def worker_main(base_url, worker_id="worker", jobs=1, max_units=None,
                 poll_seconds=0.25):
     """Top-level worker entry (spawn-importable).
+
+    Sets each of :data:`BLAS_THREAD_VARS` to ``1`` unless the
+    environment already sets it: workers share a host, and a BLAS pool
+    of one thread per core in each of them oversubscribes it.  BLAS
+    reads these once, when numpy first loads (the ML analysis node
+    imports it), so a count set here holds for the whole process.
 
     Pings the coordinator before looping, so a worker pointed at a dead
     endpoint fails fast with a one-line error instead of silently
     polling ``max_errors`` times.
     """
+    for name in BLAS_THREAD_VARS:
+        os.environ.setdefault(name, "1")
     base_url = str(base_url).rstrip("/")
     try:
         status, _ = request("GET", f"{base_url}/fabric/ping")

@@ -32,6 +32,10 @@ IDLE_TIMEOUT_S = 30.0
 #: the largest request body a server accepts (a unit result, a blob).
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
+#: how often a :func:`serving` loop checks for shutdown: leaving the
+#: block waits up to this long (the stdlib default is 0.5 s).
+SHUTDOWN_POLL_S = 0.05
+
 
 class HTTPError(Exception):
     """An HTTP error response: status + one-line message."""
@@ -186,7 +190,8 @@ def make_server(app, error, host="127.0.0.1", port=0):
 @contextmanager
 def serving(server):
     """Serve on a daemon thread; always shut down and close on exit."""
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              args=(SHUTDOWN_POLL_S,), daemon=True)
     thread.start()
     try:
         yield

@@ -141,6 +141,9 @@ class CampaignIndex:
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"campaign index {path} is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(f"campaign index {path} is not a JSON "
+                             f"object")
         if payload.get("format") != CAMPAIGN_FORMAT:
             raise ValueError(
                 f"campaign index {path} has format "

@@ -9,9 +9,10 @@ differ only in retry policy or trust-store selection share them.
 
 A study may also carry a persistent
 :class:`~repro.store.artifact.ArtifactStore`
-(:meth:`Study.attach_store`): the capture and the certificate dataset
-are then read from / written to the on-disk cache, so a fresh process
-with a warm cache skips world generation and probing entirely.
+(:meth:`Study.attach_store`): the capture, the library corpus and the
+certificate dataset are then read from / written to the cache, so a
+fresh process with a warm cache skips world generation, corpus
+building and probing entirely.
 
 The constructor is config-first: pass a :class:`StudyConfig` (or
 nothing, for the default config).  Anything else — such as a bare seed,
@@ -129,10 +130,18 @@ class Study:
 
     @property
     def corpus(self):
-        """The 6,891-entry known-library fingerprint corpus."""
+        """The 6,891-entry known-library fingerprint corpus.
+
+        Store-backed: with an attached artifact store, a cached corpus
+        is reused without rebuilding the library fingerprints.
+        """
         if self._corpus is None:
             with obs.span("study.corpus"):
-                self._corpus = _shared_corpus()
+                corpus = self._cached("corpus")
+                if corpus is MISS:
+                    corpus = _shared_corpus()
+                    self._store_put("corpus", corpus)
+                self._corpus = corpus
         return self._corpus
 
     @property

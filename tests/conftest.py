@@ -5,6 +5,7 @@ The full study (world generation + certificate issuance + probing) takes
 hand-built worlds instead.
 """
 
+import os
 import random
 import time
 
@@ -31,6 +32,18 @@ def _obs_isolation():
     previous = obs.current()
     yield
     obs.deactivate(previous)
+
+
+@pytest.fixture
+def blas_env(monkeypatch):
+    """Keep the BLAS thread variables ``worker_main`` pins to one test.
+
+    ``worker_main`` sets them in the process that calls it; a test that
+    calls it in-process restores them (set or not) afterwards.
+    """
+    from repro.fabric.worker import BLAS_THREAD_VARS
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.setenv(name, os.environ.get(name, "1"))
 
 
 @pytest.fixture(scope="session")

@@ -13,15 +13,20 @@ to the serial reference path.
 
 import hashlib
 import json
+import os
 import pickle
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
-from repro import obs
+import repro
+from repro import cli, obs
 from repro.cli import main
 from repro.config import StudyConfig
 from repro.fabric import (DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS,
@@ -29,6 +34,7 @@ from repro.fabric import (DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS,
                           FabricWorker, make_fabric_server,
                           worker_main)
 from repro.fabric.protocol import LEASE_HOLD_BUCKETS_MS
+from repro.fabric.worker import BLAS_THREAD_VARS
 from repro.http import MAX_BODY_BYTES, HTTPError
 from repro.store import ArtifactStore, blob_key_of, encode_entry
 from repro.store.campaign import CampaignIndex
@@ -573,7 +579,7 @@ class TestWorkersOverHTTP:
         finally:
             fabric.close()
 
-    def test_worker_main_fails_fast_on_dead_endpoint(self):
+    def test_worker_main_fails_fast_on_dead_endpoint(self, blas_env):
         url = f"http://127.0.0.1:{_free_port()}"
         with pytest.raises(ConnectionError, match="no fabric "
                                                   "coordinator"):
@@ -758,9 +764,103 @@ class TestFabricCLI:
         assert main(["fabric", "status", url]) == 2
         assert "fabric status:" in capsys.readouterr().err
 
-    def test_fabric_worker_dead_coordinator_exits_2(self, capsys):
+    def test_fabric_worker_dead_coordinator_exits_2(self, capsys,
+                                                    blas_env):
         url = f"http://127.0.0.1:{_free_port()}"
         assert main(["fabric", "worker", url]) == 2
         err = capsys.readouterr().err
         assert "no fabric coordinator" in err
         assert "Traceback" not in err
+
+    @pytest.fixture
+    def serve(self, monkeypatch, capsys):
+        """``repro fabric serve`` over one out dir; it returns 0 once its
+        server is up instead of serving forever."""
+        def up(server):
+            server.server_close()
+            return 0
+        monkeypatch.setattr(cli, "_serve_until_interrupted", up)
+
+        def run(out):
+            code = main(["fabric", "serve", "--out", str(out),
+                         "--seeds", "1", "--stage", "probe",
+                         "--port", "0"])
+            return code, capsys.readouterr()
+        return run
+
+    def test_fabric_serve_creates_then_resumes(self, tmp_path, serve):
+        ledger = tmp_path / "out" / "campaign.json"
+        code, captured = serve(tmp_path / "out")
+        assert code == 0 and "created campaign" in captured.out
+        before = ledger.read_bytes()
+        code, captured = serve(tmp_path / "out")
+        assert code == 0 and "resuming campaign" in captured.out
+        assert ledger.read_bytes() == before
+
+    @pytest.mark.parametrize("ledger_text", [
+        None,  # a completed unit whose spec has no ``seed``
+        '{"format": 1, "units": [',
+        "[1, 2]",
+    ], ids=["unit-spec", "invalid-json", "not-an-object"])
+    def test_fabric_serve_keeps_a_ledger_it_cannot_read(
+            self, tmp_path, serve, ledger_text):
+        ledger = tmp_path / "out" / "campaign.json"
+        if ledger_text is None:
+            spec = {"name": "a", "key": "k1"}
+            index = CampaignIndex.create(ledger, [spec], "probe")
+            index.complete("k1", _result_for(spec))
+        else:
+            ledger.parent.mkdir()
+            ledger.write_text(ledger_text)
+        before = ledger.read_bytes()
+        code, captured = serve(tmp_path / "out")
+        assert code == 2
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("fabric serve: ")
+        assert str(ledger) in err[0]
+        assert "created campaign" not in captured.out
+        assert ledger.read_bytes() == before
+
+
+#: numpy loaded or not after importing the worker modules, and the BLAS
+#: thread variables after ``worker_main`` failed against a dead URL.
+_BLAS_PROBE = """
+import json, os, socket, sys
+import repro.fabric.worker as fabric_worker
+import repro.sweep.worker
+loaded = "numpy" in sys.modules
+with socket.socket() as sock:
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+try:
+    fabric_worker.worker_main(f"http://127.0.0.1:{port}")
+except ConnectionError:
+    pass
+print(json.dumps({"numpy": loaded,
+                  "env": {name: os.environ.get(name)
+                          for name in fabric_worker.BLAS_THREAD_VARS}}))
+"""
+
+
+class TestWorkerBlasThreads:
+    """A worker process pins BLAS to one thread before numpy loads."""
+
+    def _probe(self, **preset):
+        env = {name: value for name, value in os.environ.items()
+               if name not in BLAS_THREAD_VARS}
+        env.update(preset)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    def test_worker_imports_leave_numpy_unloaded_and_pin_one_thread(self):
+        seen = self._probe()
+        assert seen["numpy"] is False
+        assert seen["env"] == {name: "1" for name in BLAS_THREAD_VARS}
+
+    def test_a_preset_count_is_kept(self):
+        seen = self._probe(OPENBLAS_NUM_THREADS="3")
+        assert seen["env"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert seen["env"]["OMP_NUM_THREADS"] == "1"

@@ -108,6 +108,21 @@ class TestServers:
         assert elapsed > 0.4  # the response outlasted the timeout
         assert body == data
 
+    def test_leaving_serving_is_prompt(self):
+        # Shutdown waits for the serve loop's next poll, which restarts
+        # as each request comes in: at the stdlib's 0.5 s poll, leaving
+        # right after a request took about half a second.
+        exits = []
+        for _ in range(5):
+            server = repro_http.make_server(
+                lambda *request: (200, {}),
+                lambda status, message: {"error": message})
+            with serving(server):
+                assert request("GET", f"{server.url}/")[0] == 200
+                started = time.monotonic()
+            exits.append(time.monotonic() - started)
+        assert sorted(exits)[2] < 0.2, exits
+
     def test_prometheus_content_type(self, live_server):
         host, port = live_server
         for path, headers in (("/metrics?format=prom", {}),
@@ -161,7 +176,7 @@ def _one_line(message):
     assert message and "\n" not in message and "\r" not in message
 
 
-def test_every_client_keeps_its_contract(broken_url, capsys):
+def test_every_client_keeps_its_contract(broken_url, capsys, blas_env):
     with pytest.raises(TransportError) as err:
         request("GET", f"{broken_url}/x")
     _one_line(str(err.value))

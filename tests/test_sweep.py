@@ -14,13 +14,17 @@ import json
 import pytest
 
 from repro import obs
+from repro import study as study_module
 from repro.cli import main
 from repro.config import MAJOR_STORES, StudyConfig
+from repro.store import ArtifactStore, local_spec
 from repro.store.campaign import (CAMPAIGN_FORMAT, CampaignIndex,
                                   campaign_id_for)
+from repro.study import Study
 from repro.sweep import (FAULT_ABLATION, SCALAR_BANDS, ScalarStats,
                          SweepAggregator, SweepRunner, SweepUnit,
                          campaign_units, expand_grid, parse_grid)
+from repro.sweep.worker import run_unit
 
 
 @pytest.fixture
@@ -158,6 +162,11 @@ class TestCampaignIndex:
         foreign.write_text(json.dumps({"format": CAMPAIGN_FORMAT + 1}))
         with pytest.raises(ValueError, match="format"):
             CampaignIndex.load(foreign)
+        listed = tmp_path / "listed.json"
+        listed.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="not a JSON object") as raised:
+            CampaignIndex.load(listed)
+        assert str(listed) in str(raised.value)
 
     def test_campaign_id_orders_and_versions(self):
         assert campaign_id_for(["a", "b"], "1") == \
@@ -382,6 +391,16 @@ class TestSweepCLIErrors:
             assert str(out / "campaign.json") in err
             assert "unit 0" in err and "seed" in err
 
+    def test_non_object_ledger_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "campaign"
+        out.mkdir()
+        (out / "campaign.json").write_text("[1, 2]")
+        for command in ("report", "resume"):
+            assert main(["sweep", command, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert "not a JSON object" in err
+
     def test_report_escapes_lone_surrogates(self, tmp_path, capsys,
                                             config):
         out = tmp_path / "campaign"
@@ -480,3 +499,45 @@ class TestProcessPool:
                              cache_dir=sweep_root / "cache").run()
         assert result.ok
         assert obs.current() is before
+
+
+class TestWarmUnit:
+    """A warm full-stage unit reads only the artifact store: it builds
+    neither the world nor the library corpus."""
+
+    @pytest.fixture(scope="class")
+    def filled(self, tmp_path_factory):
+        """One cold inline unit over a fresh local store."""
+        cache = tmp_path_factory.mktemp("warm-unit") / "cache"
+        [unit] = expand_grid(StudyConfig(), seeds=1)
+        payload = {"unit": unit.to_json(), "store": local_spec(cache)}
+        return payload, ArtifactStore(cache), run_unit(payload)
+
+    @pytest.fixture
+    def store_only(self, monkeypatch):
+        def unavailable(*_args):
+            raise AssertionError("a warm unit built a study input")
+        monkeypatch.setattr(Study, "world", property(unavailable))
+        monkeypatch.setattr(study_module, "_shared_corpus", unavailable)
+
+    def test_warm_unit_reads_only_the_store(self, filled, store_only):
+        payload, _store, cold = filled
+        assert "study.world" in cold["stage_timings"]
+        assert cold["invariants"]["ok"]
+        warm = run_unit(payload)
+        assert warm["config_digest"] == cold["config_digest"]
+        assert warm["invariants"] == cold["invariants"]
+        assert "study.world" not in warm["stage_timings"]
+        assert warm["cache"]["misses"] == []
+
+    def test_missing_node_recomputes_from_the_stored_corpus(
+            self, filled, store_only):
+        payload, store, cold = filled
+        config = SweepUnit.from_json(payload["unit"]).study_config()
+        stage = "analysis.client.matching"
+        store.blob_path(store.key(config, stage)).unlink()
+        warm = run_unit(payload)
+        assert warm["cache"]["misses"] == [stage]
+        assert "corpus" in warm["cache"]["hits"]
+        assert warm["node_digests"][stage] == cold["node_digests"][stage]
+        assert warm["config_digest"] == cold["config_digest"]

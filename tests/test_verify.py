@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import DEFAULT_BASELINE, main
 from repro.config import StudyConfig
+from repro.probing.certdataset import CertificateDataset
 from repro.study import Study
 from repro.verify import (EquivalenceMatrix, ExecutionMode, Invariant,
                           ModeResult, PAPER_INVARIANTS, VOLATILE_NODES,
@@ -348,6 +349,29 @@ class TestInvariants:
         assert "match-rate" in names
         assert "corpus-size" in names
         assert "sni-count" in names
+
+    def test_sni_count_counts_contacted_snis(self, study, results):
+        def sni_count(target):
+            [check] = [c for c in check_invariants(target, results)
+                       if c["name"] == "sni-count"]
+            return check
+
+        certificates = study.certificates
+        check = sni_count(study)
+        assert check["ok"]
+        assert check["observed"] == [len(certificates.reachable_fqdns()),
+                                     len(study.world.servers)]
+        # Drop every vantage's result for one dead SNI: only the count
+        # of contacted SNIs can see it.
+        dropped = certificates.unreachable_fqdns()[0]
+        partial = Study(study.config).adopt_certificates(
+            CertificateDataset([result for result in certificates.results
+                                if result.fqdn != dropped],
+                               probed_at=certificates.probed_at))
+        check = sni_count(partial)
+        assert not check["ok"]
+        assert check["observed"] == [len(certificates.reachable_fqdns()),
+                                     len(study.world.servers) - 1]
 
     def test_match_rate_near_paper(self, study, results):
         [check] = [c for c in check_invariants(study, results)
