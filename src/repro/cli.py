@@ -658,8 +658,20 @@ def _ml_eval_capture(args, model, threshold):
         print(f"ml eval: input file not found: {args.input}",
               file=sys.stderr)
         return None, 2
+    except OSError as exc:
+        print(f"ml eval: cannot read {args.input}: {exc.strerror}",
+              file=sys.stderr)
+        return None, 2
+    except UnicodeDecodeError as exc:
+        print(f"ml eval: {args.input} is not UTF-8 text ({exc.reason} "
+              f"at byte {exc.start})", file=sys.stderr)
+        return None, 2
     except json.JSONDecodeError as exc:
         print(f"ml eval: {args.input} is not JSONL ({exc})",
+              file=sys.stderr)
+        return None, 2
+    except RecursionError:
+        print(f"ml eval: {args.input} nests JSON too deeply",
               file=sys.stderr)
         return None, 2
     try:

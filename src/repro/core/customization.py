@@ -12,7 +12,7 @@ Implements the paper's degree-of-customization metrics:
 - Table 3's per-vendor heterogeneity statistics.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 
@@ -50,27 +50,51 @@ def doc_vendor_all(dataset):
             for vendor in dataset.vendor_names()}
 
 
-def doc_device(dataset, device_id):
-    """Per-device ``DoC`` within its vendor (Section 4.3)."""
+def _vendor_fingerprint_devices(dataset, vendor):
+    """fingerprint → the devices of ``vendor`` proposing it.
+
+    Built once per vendor, so the per-device and per-fingerprint
+    metrics below read each set instead of rebuilding it for every
+    (device, fingerprint) pair.
+    """
+    devices = defaultdict(set)
+    for device_id in dataset.devices_of_vendor(vendor):
+        for fp in dataset.device_fingerprints(device_id):
+            devices[fp].add(device_id)
+    return devices
+
+
+def _device_doc(dataset, device_id, fingerprint_devices):
     fingerprints = dataset.device_fingerprints(device_id)
     if not fingerprints:
         return 0.0
-    vendor = dataset.device_vendor(device_id)
-    solely = 0
-    for fp in fingerprints:
-        users = {d for d in dataset.fingerprint_devices(fp)
-                 if dataset.device_vendor(d) == vendor}
-        if users == {device_id}:
-            solely += 1
+    solely = sum(1 for fp in fingerprints
+                 if fingerprint_devices[fp] == {device_id})
     return solely / len(fingerprints)
+
+
+def doc_device(dataset, device_id):
+    """Per-device ``DoC`` within its vendor (Section 4.3)."""
+    if not dataset.device_fingerprints(device_id):
+        return 0.0
+    vendor = dataset.device_vendor(device_id)
+    return _device_doc(dataset, device_id,
+                       _vendor_fingerprint_devices(dataset, vendor))
+
+
+def _vendor_device_docs(dataset, vendor):
+    """Per-device DoC of each of the vendor's devices, in device order."""
+    fingerprint_devices = _vendor_fingerprint_devices(dataset, vendor)
+    return [_device_doc(dataset, device_id, fingerprint_devices)
+            for device_id in dataset.devices_of_vendor(vendor)]
 
 
 def doc_device_vendor(dataset, vendor):
     """``DoC_device`` — mean per-device DoC across a vendor's devices."""
-    devices = dataset.devices_of_vendor(vendor)
-    if not devices:
+    docs = _vendor_device_docs(dataset, vendor)
+    if not docs:
         return 0.0
-    return sum(doc_device(dataset, d) for d in devices) / len(devices)
+    return sum(docs) / len(docs)
 
 
 def doc_device_all(dataset):
@@ -81,8 +105,7 @@ def doc_device_all(dataset):
 
 def doc_distribution(dataset):
     """Figure 10 — vendor → list of per-device DoC values."""
-    return {vendor: [doc_device(dataset, d)
-                     for d in dataset.devices_of_vendor(vendor)]
+    return {vendor: _vendor_device_docs(dataset, vendor)
             for vendor in dataset.vendor_names()}
 
 
@@ -101,10 +124,10 @@ def vendor_heterogeneity(dataset, vendor):
     fingerprints = dataset.vendor_fingerprints(vendor)
     if not fingerprints:
         return VendorHeterogeneity(vendor, 0, 0.0, 0.0)
+    fingerprint_devices = _vendor_fingerprint_devices(dataset, vendor)
     shared10 = single = 0
     for fp in fingerprints:
-        devices = {d for d in dataset.fingerprint_devices(fp)
-                   if dataset.device_vendor(d) == vendor}
+        devices = fingerprint_devices[fp]
         if len(devices) >= 10:
             shared10 += 1
         if len(devices) == 1:

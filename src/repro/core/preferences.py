@@ -25,6 +25,33 @@ def _tuples(dataset):
     return seen
 
 
+def _lowest_vulnerable_position(suites):
+    """Index, among the real (non-GREASE, non-signaling) suites, of the
+    first vulnerable one; ``None`` when no suite is vulnerable."""
+    position = 0
+    for code in suites:
+        suite = suite_by_code(code)
+        if is_grease(code) or suite.is_signaling:
+            continue
+        if suite.vulnerable_components():
+            return position
+        position += 1
+    return None
+
+
+def _vendor_positions(dataset):
+    """``(vendor, lowest vulnerable position)`` per tuple, in tuple order.
+
+    The capture's thousands of tuples hold under a thousand distinct
+    suite lists, so each list is classified once.
+    """
+    tuples = _tuples(dataset)
+    positions = {suites: _lowest_vulnerable_position(suites)
+                 for suites in {suites for _device_id, suites in tuples}}
+    return [(vendor, positions[suites])
+            for (_device_id, suites), vendor in tuples.items()]
+
+
 def lowest_vulnerable_index(dataset):
     """Figure 11 — vendor → list of lowest vulnerable-suite indexes.
 
@@ -33,44 +60,24 @@ def lowest_vulnerable_index(dataset):
     any vulnerable suite contribute nothing.
     """
     indexes = defaultdict(list)
-    for (device_id, suites), vendor in _tuples(dataset).items():
-        position = 0
-        for code in suites:
-            suite = suite_by_code(code)
-            if is_grease(code) or suite.is_signaling:
-                continue
-            if suite.vulnerable_components():
-                indexes[vendor].append(position)
-                break
-            position += 1
+    for vendor, position in _vendor_positions(dataset):
+        if position is not None:
+            indexes[vendor].append(position)
     return dict(indexes)
 
 
 def vendors_without_vulnerable(dataset):
     """Vendors none of whose tuples contain any vulnerable suite."""
-    tuples = _tuples(dataset)
-    vulnerable_vendors = set()
-    all_vendors = set()
-    for (device_id, suites), vendor in tuples.items():
-        all_vendors.add(vendor)
-        if any(suite_by_code(code).vulnerable_components()
-               for code in suites):
-            vulnerable_vendors.add(vendor)
-    return sorted(all_vendors - vulnerable_vendors)
+    pairs = _vendor_positions(dataset)
+    vulnerable = {vendor for vendor, position in pairs
+                  if position is not None}
+    return sorted({vendor for vendor, _position in pairs} - vulnerable)
 
 
 def vendors_preferring_vulnerable_first(dataset):
     """Vendors with at least one tuple whose first real suite is vulnerable."""
-    vendors = set()
-    for (device_id, suites), vendor in _tuples(dataset).items():
-        for code in suites:
-            suite = suite_by_code(code)
-            if is_grease(code) or suite.is_signaling:
-                continue
-            if suite.vulnerable_components():
-                vendors.add(vendor)
-            break
-    return sorted(vendors)
+    return sorted({vendor for vendor, position in _vendor_positions(dataset)
+                   if position == 0})
 
 
 def preferred_components(dataset):

@@ -126,8 +126,8 @@ def semantic_fingerprinting(dataset, corpus):
         similar_key = tuple(frozenset(s)
                             for s in _similar_component_sets(real))
         by_similar.setdefault(similar_key, library)
-    results = []
-    for device_id, suites in sorted(tuples):
+
+    def closest(suites):
         real = _real_suites(suites)
         library, category = None, "customization"
         if real in by_exact:
@@ -147,6 +147,15 @@ def semantic_fingerprinting(dataset, corpus):
                     "similar_component"
         jaccard_value = _suite_jaccard(
             suites, library.ciphersuites) if library else 0.0
+        return category, library, jaccard_value
+
+    # Thousands of tuples hold under a thousand distinct suite lists:
+    # classify each list once.
+    verdicts = {suites: closest(suites)
+                for suites in {suites for _device_id, suites in tuples}}
+    results = []
+    for device_id, suites in sorted(tuples):
+        category, library, jaccard_value = verdicts[suites]
         results.append(SemanticMatch(
             device_id=device_id, vendor=vendor_of[device_id],
             ciphersuites=tuple(suites), category=category,

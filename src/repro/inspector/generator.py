@@ -14,8 +14,9 @@ The :class:`WorldGenerator` builds, from a single integer seed:
    paper's ~2.5% known-library matches;
 3. 2,014 devices across 721 users, with user labels that survive the
    identification pipeline (plus funnel extras that do not);
-4. the ClientHello capture: every record is emitted as real wire bytes
-   and parsed back, exactly as a capture tool would observe it.
+4. the ClientHello capture: every record holds what a capture tool
+   parses from the hello's wire bytes (version, suites, extension types,
+   SNI), built straight from the device's stack and the destination.
 """
 
 from collections import Counter
@@ -29,7 +30,7 @@ from repro.libraries import curl as curl_lib
 from repro.libraries import mbedtls as mbedtls_lib
 from repro.libraries import openssl as openssl_lib
 from repro.libraries import wolfssl as wolfssl_lib
-from repro.tlslib.clienthello import ClientHello
+from repro.tlslib.clienthello import captured_fields
 from repro.tlslib.extensions import ExtensionType as Ext
 from repro.tlslib.versions import TLSVersion
 
@@ -544,7 +545,7 @@ class WorldGenerator:
 
     def _build_devices(self, world, vendor_stacks, pool_stacks):
         sdk_fqdn_routes = self._sdk_fqdn_routes(world)
-        vendor_names = world.vendor_names()
+        vendor_names = labels.VendorLexicon(world.vendor_names())
         commodity_plan = self._commodity_device_plan()
         exact_plan = self._exact_device_plan()
         type_app_plan = self._type_app_plan(world)
@@ -910,22 +911,25 @@ class WorldGenerator:
         return extra
 
     def _capture(self, device, stack, fqdn, rng):
-        """Emit one ClientHello as wire bytes and parse it back."""
+        """One capture record of ``stack`` saying hello to ``fqdn``.
+
+        The record holds what parsing the hello's wire bytes gives back
+        (:func:`~repro.tlslib.clienthello.captured_fields`), built from
+        the stack and the SNI without encoding them.  The hello's 32
+        client-random bytes are still drawn, so the RNG stream, and with
+        it every later draw of the world, is the same as when each hello
+        went through the codec.
+        """
         timestamp = rng.randint(timeline.CAPTURE_START, timeline.CAPTURE_END)
-        hello = ClientHello(
-            version=stack.tls_version,
-            ciphersuites=list(stack.ciphersuites),
-            extensions=list(stack.extensions),
-            sni=fqdn,
-            random=bytes(rng.getrandbits(8) for _ in range(32)),
-        )
-        parsed = ClientHello.from_bytes(hello.to_bytes())
+        for _ in range(32):
+            rng.getrandbits(8)
+        version, suites, extensions, sni = captured_fields(
+            stack.tls_version, stack.ciphersuites, stack.extensions, fqdn)
         return ClientHelloRecord(
             device_id=device.device_id, vendor=device.vendor,
             device_type=device.device_type, user_id=device.user_id,
-            timestamp=timestamp, tls_version=parsed.version,
-            ciphersuites=tuple(parsed.ciphersuites),
-            extensions=tuple(parsed.extensions), sni=parsed.sni)
+            timestamp=timestamp, tls_version=version,
+            ciphersuites=suites, extensions=extensions, sni=sni)
 
     # --- funnel ---------------------------------------------------------------------
 
@@ -933,7 +937,7 @@ class WorldGenerator:
         """Reproduce the Section 3 funnel: drop unidentifiable labels and
         SNIs observed from two or fewer users."""
         rng = stable_rng(self.seed, "funnel")
-        vendor_names = world.vendor_names()
+        vendor_names = labels.VendorLexicon(world.vendor_names())
         unidentifiable = [
             "upstairs thing", "device", "mystery box", "john's iphone",
             "work laptop", "old android tablet", "media pc",

@@ -29,13 +29,22 @@ def save_records(records, path):
 
 
 def load_records(path):
-    """Read records from JSONL."""
+    """Read records from JSONL.
+
+    A row that parses as JSON but is not a capture record raises a
+    one-line ``ValueError`` naming the file and the line.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                records.append(record_from_dict(json.loads(line)))
+                row = json.loads(line)
+                try:
+                    records.append(record_from_dict(row))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}: line {number}: {exc}") from None
     return records
 
 

@@ -90,24 +90,43 @@ def tokenize(label):
     return _TOKEN.findall(label.lower())
 
 
+class VendorLexicon:
+    """The canonical vendor names, indexed once for :func:`identify`.
+
+    A world identifies thousands of labels against one vendor list;
+    building this once per world replaces a normalised-name map built on
+    every call.
+    """
+
+    def __init__(self, known_vendors):
+        known_vendors = list(known_vendors)
+        self.names = frozenset(known_vendors)
+        #: normalised token ("tplink") → canonical name ("TP-Link").
+        self.by_token = {_normalize(name): name for name in known_vendors}
+
+
 def identify(label, known_vendors):
     """Recover ``(vendor, type_hint)`` from a user label.
 
     Returns ``(None, None)`` when no vendor can be determined or the label
     names an excluded general-computing device.  ``known_vendors`` is the
-    set of canonical vendor names (matching is case-insensitive and also
-    checks concatenated bigrams for names like "Western Digital").
+    set of canonical vendor names, or a :class:`VendorLexicon` of them
+    (matching is case-insensitive and also checks concatenated bigrams
+    for names like "Western Digital").
     """
     tokens = tokenize(label)
     if any(token in EXCLUDED_KEYWORDS for token in tokens):
         return None, None
-    lower_map = {_normalize(name): name for name in known_vendors}
+    lexicon = known_vendors if isinstance(known_vendors, VendorLexicon) \
+        else VendorLexicon(known_vendors)
+    lower_map = lexicon.by_token
     vendor = None
     for token in tokens:
         if token in lower_map:
             vendor = lower_map[token]
             break
-        if token in VENDOR_ALIASES and VENDOR_ALIASES[token] in known_vendors:
+        if token in VENDOR_ALIASES \
+                and VENDOR_ALIASES[token] in lexicon.names:
             vendor = VENDOR_ALIASES[token]
             break
     if vendor is None:

@@ -134,15 +134,45 @@ class ClientHelloRecord:
 
     @classmethod
     def from_json(cls, data):
-        """Rebuild a record from its :meth:`to_json` row."""
+        """Rebuild a record from its :meth:`to_json` row.
+
+        A row that is not an object, lacks a field, or holds a value of
+        the wrong type raises a one-line ``ValueError`` naming the field.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("capture row is not a JSON object")
+        sni = data.get("sni")
+        if sni is not None and not isinstance(sni, str):
+            raise ValueError("capture row field 'sni' is not a string")
         return cls(
-            device_id=data["device_id"],
-            vendor=data["vendor"],
-            device_type=data["device_type"],
-            user_id=data["user_id"],
-            timestamp=data["timestamp"],
-            tls_version=TLSVersion(data["tls_version"]),
-            ciphersuites=tuple(data["ciphersuites"]),
-            extensions=tuple(data["extensions"]),
-            sni=data.get("sni"),
+            device_id=_row_field(data, "device_id", str),
+            vendor=_row_field(data, "vendor", str),
+            device_type=_row_field(data, "device_type", str),
+            user_id=_row_field(data, "user_id", str),
+            timestamp=_row_field(data, "timestamp", int),
+            tls_version=TLSVersion(_row_field(data, "tls_version", int)),
+            ciphersuites=_row_codes(data, "ciphersuites"),
+            extensions=_row_codes(data, "extensions"),
+            sni=sni,
         )
+
+
+def _row_field(data, name, kind):
+    """``data[name]``, which must be a ``kind`` (never a bool)."""
+    if name not in data:
+        raise ValueError(f"capture row has no {name!r} field")
+    value = data[name]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = {str: "a string", int: "an integer", list: "a list"}[kind]
+        raise ValueError(f"capture row field {name!r} is not {what}")
+    return value
+
+
+def _row_codes(data, name):
+    """``data[name]`` as a tuple of wire codes (a list of integers)."""
+    codes = _row_field(data, name, list)
+    if not all(isinstance(code, int) and not isinstance(code, bool)
+               for code in codes):
+        raise ValueError(f"capture row field {name!r} holds a value "
+                         f"that is not an integer")
+    return tuple(codes)

@@ -362,16 +362,26 @@ def evaluate_capture(model, rows, threshold=None):
                          f"got {threshold}")
     votes = {}
     for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"input row {i} is not a JSON object")
         vendor = row.get("vendor")
         if not vendor:
             raise ValueError(f"input row {i} has no vendor label")
+        if not isinstance(vendor, str):
+            raise ValueError(f"input row {i} has a vendor label that is "
+                             f"not a string")
         try:
+            suites, extensions = row["ciphersuites"], row["extensions"]
+            if not (isinstance(suites, list)
+                    and isinstance(extensions, list)):
+                raise TypeError("ciphersuites and extensions must be "
+                                "lists")
             fp = (int(row["tls_version"]),
-                  tuple(int(code) for code in row["ciphersuites"]),
-                  tuple(int(code) for code in row["extensions"]))
-        except (KeyError, TypeError, ValueError) as exc:
+                  tuple(int(code) for code in suites),
+                  tuple(int(code) for code in extensions))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"input row {i} is not a capture row "
-                             f"({exc})") from exc
+                             f"({type(exc).__name__}: {exc})") from None
         tally = votes.setdefault(fp, {})
         tally[vendor] = tally.get(vendor, 0) + 1
     fps = sorted(votes)

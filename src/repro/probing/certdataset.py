@@ -49,19 +49,32 @@ class ProbeStatsSnapshot:
         return dict(self._data)
 
     def summary(self):
-        """Same rendering as :meth:`ProbeStats.summary`, from the dict."""
-        lines = [f"probes {self.probes}  attempts {self.attempts}  "
-                 f"retries {self.retries}  exhausted {self.exhausted}  "
-                 f"wall {self.wall_seconds:.2f}s"]
-        if self.faults:
-            lines.append("faults:   " + "  ".join(
-                f"{k}={v}" for k, v in sorted(self.faults.items())))
-        lines.append("outcomes: " + "  ".join(
-            f"{k}={v}" for k, v in sorted(self.outcomes.items())))
-        lines.append("reachable: " + "  ".join(
-            f"{v}={self.reachable_by_vantage[v]}"
-            for v in sorted(self.reachable_by_vantage)))
-        return "\n".join(lines)
+        return render_probe_stats(self._data)
+
+
+def render_probe_stats(data):
+    """The compact ``--stats`` rendering of a probe-stats JSON dict.
+
+    Live :class:`~repro.probing.engine.ProbeStats` and its snapshot both
+    render through here from their ``to_json`` dict, so they print the
+    same wall time (rounded once, to the dict's 3 decimals, then shown
+    with 2).
+    """
+    lines = [f"probes {data.get('probes', 0)}  "
+             f"attempts {data.get('attempts', 0)}  "
+             f"retries {data.get('retries', 0)}  "
+             f"exhausted {data.get('exhausted', 0)}  "
+             f"wall {data.get('wall_seconds', 0.0):.2f}s"]
+
+    def pairs(key):
+        return "  ".join(f"{name}={count}" for name, count
+                         in sorted(data.get(key, {}).items()))
+
+    if data.get("faults"):
+        lines.append("faults:   " + pairs("faults"))
+    lines.append("outcomes: " + pairs("outcomes"))
+    lines.append("reachable: " + pairs("reachable_by_vantage"))
+    return "\n".join(lines)
 
 
 class CertificateDataset:

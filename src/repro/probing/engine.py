@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.inspector.stacks import stable_rng
 from repro.inspector.timeline import PROBE_TIME
-from repro.probing.certdataset import CertificateDataset
+from repro.probing.certdataset import CertificateDataset, render_probe_stats
 from repro.probing.prober import ProbeResult, Prober
 from repro.probing.vantage import VANTAGE_POINTS
 
@@ -379,18 +379,7 @@ class ProbeStats:
 
     def summary(self):
         """A compact human-readable rendering (CLI ``--stats``)."""
-        lines = [f"probes {self.probes}  attempts {self.attempts}  "
-                 f"retries {self.retries}  exhausted {self.exhausted}  "
-                 f"wall {self.wall_seconds:.2f}s"]
-        if self.faults:
-            lines.append("faults:   " + "  ".join(
-                f"{k}={v}" for k, v in sorted(self.faults.items())))
-        lines.append("outcomes: " + "  ".join(
-            f"{k}={v}" for k, v in sorted(self.outcomes.items())))
-        lines.append("reachable: " + "  ".join(
-            f"{v}={self.reachable_by_vantage[v]}"
-            for v in sorted(self.reachable_by_vantage)))
-        return "\n".join(lines)
+        return render_probe_stats(self.to_json())
 
 
 # --- the engine ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ records each unit's wall seconds; on the cluster each worker's own
 per-stage timings travel back inside the result payload.
 """
 
+import os
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -116,13 +117,13 @@ class SweepRunner:
         specs = [unit.to_json() for unit in units]
         keys = [spec["key"] for spec in specs]
         stage = units[0].stage
-        try:
+        if os.path.exists(self.index_path):
+            # A ledger that cannot be read raises here and is never
+            # replaced: its completed units would be lost.
             index = CampaignIndex.load(self.index_path)
-        except ValueError:
-            index = None
-        if index is not None and index.matches(keys):
-            # Same campaign re-run: keep the ledger, skip completed.
-            return index, units
+            if index.matches(keys):
+                # Same campaign re-run: keep the ledger, skip completed.
+                return index, units
         index = CampaignIndex.create(self.index_path, specs, stage,
                                      cache_dir=self.cache_dir,
                                      store=self.store_spec)

@@ -19,6 +19,7 @@ each suite, so every registered suite is decomposed consistently.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.tlslib.grease import is_grease
 
@@ -100,8 +101,14 @@ class CipherSuite:
         ``RC2``, ``RC4``, ``DES``, ``3DES``.  Signaling suites and GREASE
         values carry no algorithms and therefore no vulnerabilities.
         """
+        return list(self._vulnerable_tags)
+
+    @cached_property
+    def _vulnerable_tags(self):
+        """The tags, computed once per suite (the analyses ask for them
+        hundreds of thousands of times over a few hundred suites)."""
         if self.is_signaling or self.cipher is None:
-            return []
+            return ()
         tags = set()
         if self.is_anon:
             tags.add("ANON")
@@ -117,12 +124,12 @@ class CipherSuite:
             tags.add("3DES")
         elif self.cipher.startswith(("DES", "DES40")):
             tags.add("DES")
-        return sorted(tags)
+        return tuple(sorted(tags))
 
     @property
     def security_level(self):
         """The paper's three-way security level for this suite."""
-        if self.vulnerable_components():
+        if self._vulnerable_tags:
             return SecurityLevel.VULNERABLE
         if self.is_pfs and self.is_aead:
             return SecurityLevel.OPTIMAL

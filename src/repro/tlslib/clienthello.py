@@ -6,6 +6,11 @@ and the SNI host name — and can round-trip itself through the RFC 5246
 handshake wire format.  The simulated Internet in :mod:`repro.probing`
 exchanges these bytes so the measurement pipeline is fed by the same
 parse path a live capture would use.
+
+:func:`captured_fields` states what that round trip yields without
+running it: the world generator builds each of its capture records from
+it, and a test holds it equal to ``from_bytes(to_bytes())`` over every
+record of several seeds' worlds.
 """
 
 import os
@@ -25,6 +30,32 @@ def _encode_vector(payload, length_bytes):
     if len(payload) >= 1 << (8 * length_bytes):
         raise ValueError("vector payload too long")
     return len(payload).to_bytes(length_bytes, "big") + payload
+
+
+def with_server_name(extensions, sni):
+    """The extension list a hello for ``sni`` carries: ``server_name`` is
+    prepended when an SNI is set and ``extensions`` lacks it."""
+    if sni is not None and ExtensionType.SERVER_NAME not in extensions:
+        return [int(ExtensionType.SERVER_NAME), *extensions]
+    return extensions
+
+
+def _host_bytes(sni):
+    """The ``server_name`` host: ASCII, or IDNA when ``sni`` is not ASCII."""
+    return sni.encode("ascii") if sni.isascii() else sni.encode("idna")
+
+
+def captured_fields(version, ciphersuites, extensions, sni):
+    """``(version, suites, extensions, sni)`` as parsing the wire bytes
+    of a hello with these fields gives them back, without encoding.
+
+    The suites and extensions come back as tuples, the extensions with
+    ``server_name`` prepended as in :func:`with_server_name`, and a
+    non-ASCII SNI in its IDNA form.
+    """
+    host = None if sni is None else _host_bytes(sni).decode("ascii")
+    return (TLSVersion(version), tuple(ciphersuites),
+            tuple(with_server_name(extensions, sni)), host)
 
 
 class _Reader:
@@ -81,7 +112,7 @@ class ClientHello:
         if len(self.random) != 32:
             raise ValueError("client random must be exactly 32 bytes")
         if self.sni is not None and ExtensionType.SERVER_NAME not in self.extensions:
-            self.extensions = [int(ExtensionType.SERVER_NAME)] + list(self.extensions)
+            self.extensions = with_server_name(self.extensions, self.sni)
 
     # --- fingerprint-facing accessors ---------------------------------------
 
@@ -108,9 +139,7 @@ class ClientHello:
         are minimal valid placeholders so that encoded hellos parse cleanly.
         """
         if ext_type == ExtensionType.SERVER_NAME and self.sni is not None:
-            host = self.sni.encode("idna") if any(ord(c) > 127 for c in self.sni) \
-                else self.sni.encode("ascii")
-            entry = b"\x00" + _encode_vector(host, 2)
+            entry = b"\x00" + _encode_vector(_host_bytes(self.sni), 2)
             return _encode_vector(entry, 2)
         if ext_type == ExtensionType.SUPPORTED_VERSIONS:
             return _encode_vector(struct.pack(">H", int(self.version)), 1)

@@ -9,7 +9,8 @@ performs actual cryptographic verification.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.x509 import asn1
 from repro.x509.errors import DERDecodeError, SignatureError
@@ -31,11 +32,16 @@ def _algorithm_identifier(oid):
     return asn1.encode_sequence(asn1.encode_oid(oid), asn1.encode_null())
 
 
+#: The two AlgorithmIdentifiers every certificate carries, encoded once.
+_RSA_ENCRYPTION_ALGORITHM = _algorithm_identifier(OID_RSA_ENCRYPTION)
+_SHA256_WITH_RSA_ALGORITHM = _algorithm_identifier(OID_SHA256_WITH_RSA)
+
+
 def _encode_spki(public_key):
     rsa_key = asn1.encode_sequence(
         asn1.encode_integer(public_key.n), asn1.encode_integer(public_key.e))
     return asn1.encode_sequence(
-        _algorithm_identifier(OID_RSA_ENCRYPTION), asn1.encode_bit_string(rsa_key))
+        _RSA_ENCRYPTION_ALGORITHM, asn1.encode_bit_string(rsa_key))
 
 
 def _decode_spki(node):
@@ -105,6 +111,13 @@ class Certificate:
     Build instances with :func:`sign_certificate` (or a
     :class:`~repro.x509.ca.CertificateAuthority`) so the signature is
     consistent with the TBS bytes.
+
+    The DER encoding and the fingerprint are computed once per object
+    (a certificate is fingerprinted tens of thousands of times in one
+    study).  They are cached properties, not fields: equality, hashing
+    and canonical trees see only the fields, and :meth:`__getstate__`
+    leaves them out of the pickled state, so a stored certificate
+    carries no bytes it can recompute.
     """
 
     serial: int
@@ -121,15 +134,29 @@ class Certificate:
     # --- identity -----------------------------------------------------------
 
     def to_der(self):
-        return asn1.encode_sequence(
-            self.tbs_der,
-            _algorithm_identifier(OID_SHA256_WITH_RSA),
-            asn1.encode_bit_string(self.signature),
-        )
+        return self._der
 
     def fingerprint(self):
         """SHA-256 hex digest of the DER encoding."""
-        return hashlib.sha256(self.to_der()).hexdigest()
+        return self._fingerprint
+
+    @cached_property
+    def _der(self):
+        return asn1.encode_sequence(
+            self.tbs_der,
+            _SHA256_WITH_RSA_ALGORITHM,
+            asn1.encode_bit_string(self.signature),
+        )
+
+    @cached_property
+    def _fingerprint(self):
+        return hashlib.sha256(self._der).hexdigest()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_der", None)
+        state.pop("_fingerprint", None)
+        return state
 
     # --- semantic accessors ---------------------------------------------------
 
@@ -208,7 +235,7 @@ def build_tbs(serial, subject, issuer, not_before, not_after, public_key,
     return asn1.encode_sequence(
         asn1.encode_context(0, asn1.encode_integer(2)),  # version: v3
         asn1.encode_integer(serial),
-        _algorithm_identifier(OID_SHA256_WITH_RSA),
+        _SHA256_WITH_RSA_ALGORITHM,
         issuer.to_der(),
         asn1.encode_sequence(asn1.encode_time(not_before),
                              asn1.encode_time(not_after)),

@@ -6,6 +6,7 @@ subject CN and the SAN extension, including wildcard semantics.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.x509 import asn1
 
@@ -23,7 +24,12 @@ _ATTRIBUTE_ORDER = (
 
 @dataclass(frozen=True)
 class DistinguishedName:
-    """An X.500 name reduced to the attributes the analysis consumes."""
+    """An X.500 name reduced to the attributes the analysis consumes.
+
+    The encoding is computed once per object, in a cached property that
+    is neither a field nor part of the pickled state (as for
+    :class:`~repro.x509.certificate.Certificate`).
+    """
 
     common_name: str
     organization: str = None
@@ -31,6 +37,15 @@ class DistinguishedName:
 
     def to_der(self):
         """Encode as an RDNSequence."""
+        return self._der
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_der", None)
+        return state
+
+    @cached_property
+    def _der(self):
         rdns = []
         for oid, attr in _ATTRIBUTE_ORDER:
             value = getattr(self, attr)

@@ -138,6 +138,8 @@ class RevocationAuthority:
         self._ca = ca
         self._revoked = {}
         self._known_serials = set()
+        #: (signing key, signed bytes) → OCSPResponse already issued.
+        self._responses = {}
 
     @property
     def name(self):
@@ -172,7 +174,12 @@ class RevocationAuthority:
     # --- OCSP -------------------------------------------------------------------
 
     def ocsp_response(self, certificate, at):
-        """Answer an OCSP query for one certificate."""
+        """Answer an OCSP query for one certificate.
+
+        Each distinct response is signed once: PKCS#1 v1.5 signing is
+        deterministic, so re-signing the same bytes with the same key
+        would give the same staple.
+        """
         if certificate.serial in self._revoked:
             status = CertStatus.REVOKED
         elif certificate.serial in self._known_serials:
@@ -181,13 +188,18 @@ class RevocationAuthority:
             status = CertStatus.UNKNOWN
         produced_at = at
         next_update = at + self.OCSP_VALIDITY
-        signature = self._ca.signing_key.sign(OCSPResponse.signable_bytes(
+        key = self._ca.signing_key
+        message = OCSPResponse.signable_bytes(
             self._ca.name, certificate.serial, status, produced_at,
-            next_update))
-        return OCSPResponse(responder_name=self._ca.name,
-                            serial=certificate.serial, status=status,
-                            produced_at=produced_at,
-                            next_update=next_update, signature=signature)
+            next_update)
+        response = self._responses.get((key, message))
+        if response is None:
+            response = OCSPResponse(
+                responder_name=self._ca.name, serial=certificate.serial,
+                status=status, produced_at=produced_at,
+                next_update=next_update, signature=key.sign(message))
+            self._responses[(key, message)] = response
+        return response
 
 
 class RevocationChecker:

@@ -89,3 +89,48 @@ class TestHeterogeneity:
     def test_amazon_leads(self, dataset):
         rows = customization.top_vendor_heterogeneity(dataset, top=3)
         assert rows[0].vendor == "Amazon"
+
+
+def _doc_device_per_pair(dataset, device_id):
+    """Per-device DoC rebuilding each fingerprint's vendor device set."""
+    fingerprints = dataset.device_fingerprints(device_id)
+    if not fingerprints:
+        return 0.0
+    vendor = dataset.device_vendor(device_id)
+    solely = sum(1 for fp in fingerprints
+                 if {d for d in dataset.fingerprint_devices(fp)
+                     if dataset.device_vendor(d) == vendor} == {device_id})
+    return solely / len(fingerprints)
+
+
+class TestSetsBuiltOncePerVendor:
+    """The per-vendor fingerprint device sets give the per-pair values."""
+
+    @pytest.fixture(params=["study", "mini"])
+    def any_dataset(self, request):
+        name = "dataset" if request.param == "study" else "mini_dataset"
+        return request.getfixturevalue(name)
+
+    def test_doc_device_all_and_distribution(self, any_dataset):
+        per_vendor = {vendor: [_doc_device_per_pair(any_dataset, d)
+                               for d in any_dataset.devices_of_vendor(vendor)]
+                      for vendor in any_dataset.vendor_names()}
+        assert customization.doc_distribution(any_dataset) == per_vendor
+        assert customization.doc_device_all(any_dataset) == {
+            vendor: sum(docs) / len(docs)
+            for vendor, docs in per_vendor.items()}
+        for device_id in any_dataset.device_ids()[::7]:
+            assert customization.doc_device(any_dataset, device_id) == \
+                _doc_device_per_pair(any_dataset, device_id)
+
+    def test_heterogeneity(self, any_dataset):
+        for vendor in any_dataset.vendor_names():
+            fps = any_dataset.vendor_fingerprints(vendor)
+            sizes = [len({d for d in any_dataset.fingerprint_devices(fp)
+                          if any_dataset.device_vendor(d) == vendor})
+                     for fp in fps]
+            row = customization.vendor_heterogeneity(any_dataset, vendor)
+            assert row.shared_by_10_or_more == \
+                sum(size >= 10 for size in sizes) / len(fps)
+            assert row.used_by_one_device == \
+                sum(size == 1 for size in sizes) / len(fps)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import params, preferences
 from repro.inspector.dataset import InspectorDataset
-from repro.tlslib.ciphersuites import FALLBACK_SCSV
+from repro.tlslib.ciphersuites import FALLBACK_SCSV, suite_by_code
+from repro.tlslib.grease import is_grease
 from repro.tlslib.versions import TLSVersion
 from tests.conftest import make_record
 
@@ -123,3 +124,72 @@ class TestPreferences:
     def test_synology_prefers_vulnerable(self, dataset):
         dirty = preferences.vendors_preferring_vulnerable_first(dataset)
         assert "Synology" in dirty or "Belkin" in dirty
+
+
+# Per-tuple oracles: each classifies every {device, suite list} tuple
+# on its own, as the analyses did before they classified each distinct
+# list once.
+
+
+def _lowest_vulnerable_index_per_tuple(dataset):
+    indexes = {}
+    for (_device, suites), vendor in preferences._tuples(dataset).items():
+        position = 0
+        for code in suites:
+            suite = suite_by_code(code)
+            if is_grease(code) or suite.is_signaling:
+                continue
+            if suite.vulnerable_components():
+                indexes.setdefault(vendor, []).append(position)
+                break
+            position += 1
+    return indexes
+
+
+def _vendors_without_vulnerable_per_tuple(dataset):
+    tuples = preferences._tuples(dataset)
+    vulnerable = {vendor for (_device, suites), vendor in tuples.items()
+                  if any(suite_by_code(code).vulnerable_components()
+                         for code in suites)}
+    return sorted(set(tuples.values()) - vulnerable)
+
+
+def _vendors_preferring_vulnerable_first_per_tuple(dataset):
+    vendors = set()
+    for (_device, suites), vendor in preferences._tuples(dataset).items():
+        for code in suites:
+            suite = suite_by_code(code)
+            if is_grease(code) or suite.is_signaling:
+                continue
+            if suite.vulnerable_components():
+                vendors.add(vendor)
+            break
+    return sorted(vendors)
+
+
+class TestPerListEqualsPerTuple:
+    @pytest.fixture(params=["study", "hand-built"])
+    def any_dataset(self, request, param_dataset):
+        if request.param == "study":
+            return request.getfixturevalue("dataset")
+        return param_dataset
+
+    def test_lowest_vulnerable_index(self, any_dataset):
+        assert preferences.lowest_vulnerable_index(any_dataset) == \
+            _lowest_vulnerable_index_per_tuple(any_dataset)
+
+    def test_vendors_without_vulnerable(self, any_dataset):
+        assert preferences.vendors_without_vulnerable(any_dataset) == \
+            _vendors_without_vulnerable_per_tuple(any_dataset)
+
+    def test_vendors_preferring_vulnerable_first(self, any_dataset):
+        assert preferences.vendors_preferring_vulnerable_first(
+            any_dataset) == \
+            _vendors_preferring_vulnerable_first_per_tuple(any_dataset)
+
+    def test_suite_tags_are_computed_once(self):
+        suite = suite_by_code(0x000A)
+        assert suite.vulnerable_components() == ["3DES"]
+        assert suite.vulnerable_components() is not \
+            suite.vulnerable_components()
+        assert suite._vulnerable_tags is suite._vulnerable_tags

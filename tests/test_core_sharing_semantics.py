@@ -169,3 +169,49 @@ class TestSemanticPipeline:
         for counts in histograms.values():
             assert len(counts) == 10
             assert all(count >= 0 for count in counts)
+
+
+def _semantic_fingerprinting_per_tuple(dataset, corpus):
+    """The Appendix B.2 analysis classifying every tuple on its own."""
+    real_of = semantics._real_suites
+
+    def components(real):
+        return tuple(frozenset(s) for s in semantics._component_sets(real))
+
+    def similar(real):
+        return tuple(frozenset(s)
+                     for s in semantics._similar_component_sets(real))
+
+    keys = (("exact", tuple), ("same_set_diff_order", frozenset),
+            ("same_component", components), ("similar_component", similar))
+    first = {name: {} for name, _key_of in keys}
+    for suites, library in corpus.ciphersuite_lists().items():
+        for name, key_of in keys:
+            first[name].setdefault(key_of(real_of(suites)), library)
+    vendor_of = {r.device_id: r.vendor for r in dataset.records}
+    matches = []
+    for device_id, suites in sorted(dataset.ciphersuite_lists()):
+        real = real_of(suites)
+        category, library = "customization", None
+        for name, key_of in keys:
+            library = first[name].get(key_of(real))
+            if library is not None:
+                category = name
+                break
+        jaccard = semantics._suite_jaccard(
+            suites, library.ciphersuites) if library else 0.0
+        matches.append(semantics.SemanticMatch(
+            device_id=device_id, vendor=vendor_of[device_id],
+            ciphersuites=suites, category=category, library=library,
+            jaccard=jaccard))
+    return matches
+
+
+class TestSemanticsPerListEqualsPerTuple:
+    def test_mini_dataset(self, mini_dataset, corpus):
+        assert semantics.semantic_fingerprinting(mini_dataset, corpus) == \
+            _semantic_fingerprinting_per_tuple(mini_dataset, corpus)
+
+    def test_study_dataset(self, dataset, corpus):
+        assert semantics.semantic_fingerprinting(dataset, corpus) == \
+            _semantic_fingerprinting_per_tuple(dataset, corpus)

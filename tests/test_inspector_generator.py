@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.inspector import generator
 from repro.inspector.generator import STANDALONE_VENDORS, WorldGenerator
 from repro.inspector.io import load_records, save_records
 from repro.inspector.vendors import PROFILES_BY_NAME, VENDOR_PROFILES
+from repro.tlslib.clienthello import ClientHello, captured_fields
 from repro.tlslib.extensions import ExtensionType
+from repro.verify.canonical import digest
 
 
 class TestStructure:
@@ -109,6 +112,47 @@ class TestDeterminism:
         records_b = [(r.device_id, r.sni, r.ciphersuites)
                      for r in world_b.records]
         assert records_a != records_b
+
+
+class TestCaptureWithoutCodec:
+    """Each capture record is built from the stack and the SNI instead of
+    a wire round trip; these tests hold that shortcut to the codec."""
+
+    #: digest of every world record's JSON row, recorded when each record
+    #: still went through ``ClientHello.to_bytes`` and ``from_bytes``.
+    CODEC_DIGESTS = {
+        2023: "d4ada1b9bec9a5803e694c97196d17cf"
+              "1191481cebed0a03c131c1fa379f37b2",
+        7: "62189dd6ce7c49f9870ea631d397e52d"
+           "23cf2cf6ad78a0c8643d642eebd6052d",
+        2024: "fe3f2fc7b942b48eeac9291e85e96c7f"
+              "5f8108d7781c88e8db138fc33c38dcfb",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CODEC_DIGESTS))
+    def test_records_equal_the_codec_round_trip(self, seed, monkeypatch):
+        round_trips = {}
+
+        def checked(version, suites, extensions, sni):
+            fields = captured_fields(version, suites, extensions, sni)
+            key = (version, tuple(suites), tuple(extensions), sni)
+            if key not in round_trips:
+                parsed = ClientHello.from_bytes(ClientHello(
+                    version=version, ciphersuites=list(suites),
+                    extensions=list(extensions), sni=sni,
+                    random=bytes(32)).to_bytes())
+                round_trips[key] = (parsed.version,
+                                    tuple(parsed.ciphersuites),
+                                    tuple(parsed.extensions), parsed.sni)
+            assert fields == round_trips[key]
+            assert all(type(code) is int for code in fields[1] + fields[2])
+            return fields
+
+        monkeypatch.setattr(generator, "captured_fields", checked)
+        world = WorldGenerator(seed=seed).generate()
+        assert len(round_trips) > 5000
+        rows = [record.to_json() for record in world.records]
+        assert digest(rows) == self.CODEC_DIGESTS[seed]
 
 
 class TestStandaloneVendors:

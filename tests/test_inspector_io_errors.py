@@ -63,9 +63,26 @@ class TestFiles:
         path = tmp_path / "incomplete.jsonl"
         payload = record_to_dict(make_record())
         del payload["vendor"]
-        path.write_text(json.dumps(payload) + "\n")
-        with pytest.raises(KeyError):
+        path.write_text("\n" + json.dumps(payload) + "\n")
+        with pytest.raises(ValueError,
+                           match="line 2: capture row has no 'vendor'"):
             load_records(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ([1, 2], "not a JSON object"),
+        ({"vendor": ["Acme"]}, "'vendor' is not a string"),
+        ({"timestamp": True}, "'timestamp' is not an integer"),
+        ({"ciphersuites": 47}, "'ciphersuites' is not a list"),
+        ({"extensions": [0, "10"]}, "'extensions' holds a value"),
+        ({"sni": 7}, "'sni' is not a string"),
+    ])
+    def test_malformed_row_raises_one_line_value_error(self, row,
+                                                       message):
+        if isinstance(row, dict):
+            row = dict(record_to_dict(make_record()), **row)
+        with pytest.raises(ValueError, match=message) as raised:
+            record_from_dict(row)
+        assert len(str(raised.value).splitlines()) == 1
 
     def test_load_dataset_builds_indexes(self, tmp_path):
         records = [make_record(device="a"), make_record(device="b")]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.inspector.labels import (
+    VendorLexicon,
     identify,
     label_identifiable,
     make_label,
@@ -61,6 +62,24 @@ class TestIdentify:
     def test_alias_requires_known_vendor(self):
         # "echo" aliases to Amazon, but Amazon isn't in this universe.
         assert identify("echo", ["Google"]) == (None, None)
+
+
+class TestVendorLexicon:
+    def test_lexicon_identifies_like_the_name_list(self):
+        lexicon = VendorLexicon(VENDORS)
+        rng = random.Random(5)
+        labels = ["western digital nas", "tplink plug", "my iphone",
+                  "alexa", "fire tv stick", "mystery box", "nest cam"]
+        labels += [make_label(rng, rng.choice(VENDORS + ["Roku"]),
+                              rng.choice(["Cam", "TV", "Plug", "Hub"]))
+                   for _ in range(300)]
+        for label in labels:
+            assert identify(label, lexicon) == identify(label, VENDORS)
+
+    def test_lexicon_accepts_any_iterable(self):
+        lexicon = VendorLexicon(name for name in VENDORS)
+        assert identify("tp-link kasa plug", lexicon)[0] == "TP-Link"
+        assert lexicon.names == frozenset(VENDORS)
 
 
 class TestGeneration:

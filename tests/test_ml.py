@@ -309,6 +309,32 @@ class TestCaptureEval:
             evaluate_capture(model, [{"vendor": "Acme",
                                       "tls_version": "x"}])
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[1, 2]\n", "row 0 is not a JSON object"),
+        (json.dumps(dict(ROW, vendor=["Acme"])).encode() + b"\n",
+         "row 0 has a vendor label that is not a string"),
+        (json.dumps(dict(ROW, tls_version=1e999)).encode() + b"\n",
+         "row 0 is not a capture row"),
+        (json.dumps(dict(ROW, ciphersuites="12")).encode() + b"\n",
+         "must be lists"),
+        (b'{"vendor": "Acme\xff"}\n', "is not UTF-8 text"),
+        (b"[" * 100_000 + b"\n", "nests JSON too deeply"),
+        (None, "cannot read"),
+    ])
+    def test_cli_malformed_input_exits_2(self, vendor_model, tmp_path,
+                                         capsys, content, message):
+        _, path = vendor_model
+        capture = tmp_path / "capture.jsonl"
+        if content is None:
+            capture.mkdir()  # a directory where a file should be
+        else:
+            capture.write_bytes(content)
+        assert main(["ml", "eval", "--model", str(path),
+                     "--input", str(capture)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_cli_unlabeled_row_exits_2(self, vendor_model, tmp_path,
                                        study, capsys):
         _, path = vendor_model

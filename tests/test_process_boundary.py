@@ -16,6 +16,7 @@ import pickle
 
 from repro.probing.certdataset import (CertificateDataset,
                                        ProbeStatsSnapshot)
+from repro.probing.engine import ProbeStats
 
 
 def describe_certificates(dataset):
@@ -63,6 +64,15 @@ class TestPickleFreeze:
         assert snapshot.outcomes == certificates.stats.outcomes
         assert snapshot.reachable_by_vantage == \
             certificates.stats.reachable_by_vantage
+
+    def test_wall_time_rounds_once(self):
+        # 1.0551 renders 1.06 from the live value but 1.05 from the
+        # 3-decimal dict; both sides must render from the dict.
+        live = ProbeStats()
+        live.wall_seconds = 1.0551
+        snapshot = ProbeStatsSnapshot(live.to_json())
+        assert snapshot.summary() == live.summary()
+        assert "wall 1.05s" in live.summary().splitlines()[0]
 
     def test_statless_dataset_round_trips(self, certificates):
         bare = CertificateDataset(certificates.results,

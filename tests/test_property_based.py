@@ -1,15 +1,18 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
 import functools
+import json
 import random
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.inspector.model import ClientHelloRecord
 from repro.match import set_jaccard as jaccard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import parse_prometheus, render_prometheus
-from repro.tlslib.clienthello import ClientHello
+from repro.tlslib.clienthello import ClientHello, captured_fields
 from repro.tlslib.errors import TLSParseError
 from repro.tlslib.record import (ContentType, decode_records, encode_records,
                                  iter_handshake_messages)
@@ -48,6 +51,26 @@ class TestClientHelloRoundTrip:
         assert parsed.extensions == list(hello.extensions)
         assert parsed.sni == hello.sni
         assert parsed.session_id == session_id
+
+    @SLOW
+    @given(
+        version=st.sampled_from(list(TLSVersion)),
+        suites=st.lists(wire_code, max_size=80),
+        extensions=st.lists(wire_code, max_size=20),
+        sni=st.one_of(st.none(), hostname,
+                      st.sampled_from(["bücher.example",
+                                       "пример.испытание"])),
+    )
+    @example(version=TLSVersion.TLS_1_2, suites=[0xC02F],
+             extensions=[10, 0, 0], sni="a.example")
+    def test_captured_fields_equal_the_round_trip(self, version, suites,
+                                                  extensions, sni):
+        parsed = ClientHello.from_bytes(ClientHello(
+            version=version, ciphersuites=suites, extensions=extensions,
+            sni=sni, random=bytes(32)).to_bytes())
+        assert captured_fields(version, suites, extensions, sni) == (
+            parsed.version, tuple(parsed.ciphersuites),
+            tuple(parsed.extensions), parsed.sni)
 
     @SLOW
     @given(payload=st.binary(max_size=40000),
@@ -200,8 +223,42 @@ def _prometheus_page():
     return render_prometheus(registry.snapshot())
 
 
+def _capture_text():
+    """Two anonymized-capture JSONL rows, one with a GREASE suite."""
+    first = ClientHelloRecord(
+        device_id="acme-0001", vendor="Acme", device_type="camera",
+        user_id="u-17", timestamp=1_600_000_000,
+        tls_version=TLSVersion.TLS_1_2, ciphersuites=(0x0A0A, 0xC02F, 10),
+        extensions=(0, 10, 11), sni="api.acme.example")
+    second = dataclasses.replace(first, vendor="Bolt", sni=None,
+                                 ciphersuites=(0x0035,))
+    return "".join(json.dumps(record.to_json()) + "\n"
+                   for record in (first, second))
+
+
+@functools.lru_cache(maxsize=1)
+def _vendor_model():
+    """A two-class vendor model fitted on two fingerprints."""
+    import numpy as np
+
+    from repro.ml import (FeatureExtractor, LogisticOVR, MLParams,
+                          MultinomialNB)
+    from repro.ml.pipeline import AttributionModel
+    extractor = FeatureExtractor(width=64, seed=17)
+    X = extractor.matrix([(0x0303, (0x0A0A, 0xC02F, 10), (0, 10, 11)),
+                          (0x0303, (0x0035,), (0, 10, 11))])
+    y = np.array([0, 1])
+    return AttributionModel(
+        params=MLParams(target="vendor", width=64, iters=20),
+        extractor=extractor, classes=("Acme", "Bolt"),
+        nb=MultinomialNB().fit(X, y, 2),
+        lr=LogisticOVR(iters=20).fit(X, y, 2),
+        artifact_digest="0" * 64, counts={"examples": 2})
+
+
 HELLO_MUTANTS = edited(_hello_bytes(), st.integers(0, 255)).map(bytes)
 PROMETHEUS_MUTANTS = edited(_prometheus_page(), st.characters()).map("".join)
+CAPTURE_MUTANTS = edited(_capture_text(), st.characters()).map("".join)
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -232,6 +289,28 @@ class TestCleanParserFuzz:
     def test_prometheus_parser_raises_only_value_error(self, text):
         try:
             parse_prometheus(text)
+        except ValueError:
+            pass
+
+    @FUZZ
+    @given(text=CAPTURE_MUTANTS)
+    def test_capture_rows_raise_only_value_error(self, text):
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            try:
+                ClientHelloRecord.from_json(json.loads(line))
+            except ValueError:
+                pass
+
+    @FUZZ
+    @given(text=CAPTURE_MUTANTS)
+    def test_capture_eval_raises_only_value_error(self, text):
+        from repro.ml import evaluate_capture
+        try:
+            rows = [json.loads(line) for line in text.splitlines()
+                    if line.strip()]
+            evaluate_capture(_vendor_model(), rows)
         except ValueError:
             pass
 

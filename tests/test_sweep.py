@@ -262,6 +262,37 @@ class TestRunnerResume:
         assert grown_calls == ["seed2023", "seed2024"]  # no stale skips
         assert not grown.skipped
 
+    @pytest.mark.parametrize("damage", ["bad result", "not json"])
+    def test_unreadable_ledger_is_kept(self, tmp_path, config, damage):
+        units = expand_grid(config, seeds=1)
+        assert self._runner(tmp_path, units, []).run().ok
+        path = tmp_path / "campaign.json"
+        if damage == "bad result":
+            doc = json.loads(path.read_text())
+            [result] = doc["completed"].values()
+            result["scalars"] = [1]
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_text(path.read_text()[:-40])
+        before = path.read_bytes()
+        calls = []
+        with pytest.raises(ValueError) as raised:
+            self._runner(tmp_path, units, calls).run()
+        assert str(path) in str(raised.value)
+        assert len(str(raised.value).splitlines()) == 1
+        assert calls == [] and path.read_bytes() == before
+
+    def test_readable_ledger_of_another_campaign_is_replaced(
+            self, tmp_path, config):
+        assert self._runner(tmp_path, expand_grid(config, seeds=2),
+                            []).run().ok
+        calls = []
+        result = self._runner(tmp_path, expand_grid(config, seeds=1),
+                              calls).run()
+        assert calls == ["seed2023"] and not result.skipped
+        assert len(CampaignIndex.load(tmp_path / "campaign.json").units) \
+            == 1
+
     def test_fresh_campaign_requires_units(self, tmp_path):
         with pytest.raises(ValueError, match="at least one unit"):
             SweepRunner((), index_path=tmp_path / "c.json").run()
@@ -390,6 +421,19 @@ class TestSweepCLIErrors:
             assert "Traceback" not in err
             assert str(out / "campaign.json") in err
             assert "unit 0" in err and "seed" in err
+
+    def test_sweep_run_keeps_a_ledger_it_cannot_read(self, tmp_path,
+                                                     capsys):
+        out = tmp_path / "campaign"
+        out.mkdir()
+        (out / "campaign.json").write_text('{"format": 1, "completed"')
+        before = (out / "campaign.json").read_bytes()
+        assert main(["sweep", "run", "--seeds", "1", "--stage", "probe",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err and "not valid JSON" in err
+        assert (out / "campaign.json").read_bytes() == before
 
     def test_non_object_ledger_exits_2(self, tmp_path, capsys):
         out = tmp_path / "campaign"

@@ -1,11 +1,15 @@
 """Unit tests for certificate construction, DER round-trip, semantics."""
 
+import dataclasses
+import hashlib
+import pickle
 import random
 
 import pytest
 
 from repro.x509 import asn1
-from repro.x509.certificate import Certificate, sign_certificate
+from repro.x509.certificate import (OID_SHA256_WITH_RSA, Certificate,
+                                    sign_certificate)
 from repro.x509.errors import DERDecodeError, SignatureError
 from repro.x509.keys import generate_keypair
 from repro.x509.names import DistinguishedName
@@ -163,3 +167,68 @@ class TestSemantics:
             not_after=NOW + 36_500 * DAY, public_key=subject_key.public)
         parsed = Certificate.from_der(cert.to_der())
         assert parsed.validity_days == pytest.approx(36_500)
+
+
+def _fresh_der(certificate):
+    """The certificate's DER, encoded from its fields on every call."""
+    return asn1.encode_sequence(
+        certificate.tbs_der,
+        asn1.encode_sequence(asn1.encode_oid(OID_SHA256_WITH_RSA),
+                             asn1.encode_null()),
+        asn1.encode_bit_string(certificate.signature))
+
+
+def _fresh_name_der(name):
+    rdns = [asn1.encode_set(asn1.encode_sequence(
+                asn1.encode_oid(oid), asn1.encode_utf8(value)))
+            for oid, value in (("2.5.4.6", name.country),
+                               ("2.5.4.10", name.organization),
+                               ("2.5.4.3", name.common_name))
+            if value is not None]
+    return asn1.encode_sequence(*rdns)
+
+
+class TestEncodedOnce:
+    """DER and fingerprint are cached on the object, outside its fields
+    and its pickled state."""
+
+    def test_cached_der_equals_a_fresh_encoding(self, leaf):
+        assert leaf.to_der() == _fresh_der(leaf)
+        assert leaf.to_der() is leaf.to_der()
+        assert leaf.fingerprint() == \
+            hashlib.sha256(_fresh_der(leaf)).hexdigest()
+        for name in (leaf.subject, leaf.issuer,
+                     DistinguishedName(common_name="bare")):
+            assert name.to_der() == _fresh_name_der(name)
+
+    def test_decoded_certificate_encodes_like_the_original(self, leaf):
+        decoded = Certificate.from_der(leaf.to_der())
+        assert decoded.to_der() == _fresh_der(decoded) == leaf.to_der()
+
+    def test_cache_is_not_a_field(self, leaf):
+        leaf.fingerprint()
+        leaf.subject.to_der()
+        for value in (leaf, leaf.subject):
+            names = {field.name for field in dataclasses.fields(value)}
+            assert not {"_der", "_fingerprint"} & names
+        copy = dataclasses.replace(leaf)
+        assert copy == leaf and hash(copy) == hash(leaf)
+
+    def test_cache_is_not_pickled(self, issuer_key, subject_key):
+        def build():
+            return sign_certificate(
+                serial=7, subject=DistinguishedName(common_name="a.example"),
+                issuer=DistinguishedName(common_name="CA", organization="O"),
+                issuer_keypair=issuer_key, not_before=NOW,
+                not_after=NOW + DAY, public_key=subject_key.public)
+        untouched, used = build(), build()
+        used.fingerprint()
+        used.subject.to_der()
+        assert "_der" in vars(used) and "_der" in vars(used.subject)
+        blob = pickle.dumps(used)
+        assert blob == pickle.dumps(untouched)
+        clone = pickle.loads(blob)
+        for value in (clone, clone.subject, clone.issuer):
+            assert not {"_der", "_fingerprint"} & set(vars(value))
+        assert clone == used
+        assert clone.fingerprint() == used.fingerprint()

@@ -1,15 +1,20 @@
 """Unit tests for RSA keys and signatures."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.x509 import keys as keys_module
 from repro.x509.errors import SignatureError
 from repro.x509.keys import (
+    _SCREEN_PRODUCT,
+    _SMALL_PRIMES,
     KeyPool,
     RSAPublicKey,
+    _is_probable_prime,
     _pad_digest,
     generate_keypair,
 )
@@ -132,3 +137,95 @@ class TestKeyPool:
         first = pool.take()
         pool.take()
         assert pool.take().public.n == first.public.n
+
+
+def _miller_rabin(candidate, rng, rounds=10):
+    """Miller–Rabin without the small-factor screen: the oracle."""
+    if candidate < 2:
+        return False
+    for prime in _SMALL_PRIMES:
+        if candidate % prime == 0:
+            return candidate == prime
+    d, r = candidate - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        witness = rng.randrange(2, candidate - 1)
+        x = pow(witness, d, candidate)
+        if x in (1, candidate - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, candidate)
+            if x == candidate - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class _FixedWitness:
+    """Stands in for the RNG: every witness is ``witness``; counts draws."""
+
+    def __init__(self, witness):
+        self.witness = witness
+        self.draws = 0
+
+    def randrange(self, start, stop):
+        self.draws += 1
+        return self.witness
+
+
+#: Strong pseudoprimes whose factors trial division (primes to 149)
+#: misses and the screen (primes 151 to 4,093) finds: 829 * 1657 (all
+#: screened, so the screen's divisor is the candidate), 2251 * 11251,
+#: and 151 * 751 * 28351, strong to bases 2, 3, 5 and 7.
+_PSEUDOPRIMES = (1373653, 25326001, 3215031751)
+
+
+class TestPrimalityScreen:
+    """The gcd screen must not change a verdict or an RNG draw of the
+    Miller–Rabin test, or every key after it would change."""
+
+    def test_agrees_with_miller_rabin_in_verdict_and_draws(self):
+        source = random.Random(2023)
+        candidates = [source.getrandbits(256) | (1 << 255) | 1
+                      for _ in range(3000)]
+        candidates += [p * q for p in (151, 757, 4093)
+                       for q in (1000003, 2 ** 127 - 1)]
+        candidates += list(_PSEUDOPRIMES)
+        screened = 0
+        for i, candidate in enumerate(candidates):
+            ours, theirs = random.Random(i), random.Random(i)
+            assert _is_probable_prime(candidate, ours) == \
+                _miller_rabin(candidate, theirs), candidate
+            assert ours.getstate() == theirs.getstate(), candidate
+            screened += math.gcd(candidate, _SCREEN_PRODUCT) > 1
+        assert screened > 300
+
+    def test_fixed_witnesses_on_strong_pseudoprimes(self):
+        for candidate in _PSEUDOPRIMES:
+            for witness in range(2, 40):
+                ours, theirs = _FixedWitness(witness), \
+                    _FixedWitness(witness)
+                assert _is_probable_prime(candidate, ours) == \
+                    _miller_rabin(candidate, theirs), (candidate, witness)
+                assert ours.draws == theirs.draws, (candidate, witness)
+            # A round that passes modulo the candidate passes modulo its
+            # screened part, so witness 2 never stops early.
+            two = _FixedWitness(2)
+            assert _is_probable_prime(candidate, two)
+            assert two.draws == 10
+
+    def test_keys_equal_the_unscreened_search(self, monkeypatch):
+        screened = []
+        for seed in (1, 7, 2023):
+            rng = random.Random(seed)
+            screened.append((generate_keypair(512, rng=rng),
+                             rng.getstate()))
+        monkeypatch.setattr(keys_module, "_is_probable_prime",
+                            _miller_rabin)
+        for seed, (key, state) in zip((1, 7, 2023), screened):
+            rng = random.Random(seed)
+            assert generate_keypair(512, rng=rng) == key
+            assert rng.getstate() == state

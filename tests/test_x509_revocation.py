@@ -8,6 +8,7 @@ from repro.x509.ca import CertificateAuthority
 from repro.x509.errors import SignatureError
 from repro.x509.revocation import (
     CertStatus,
+    OCSPResponse,
     RevocationAuthority,
     RevocationChecker,
     RevocationReason,
@@ -90,6 +91,40 @@ class TestOCSP:
         empty = RevocationChecker({})
         assert empty.check_staple(leaf, response, at=NOW) == \
             CertStatus.UNKNOWN
+
+
+def _freshly_signed(ca, response):
+    """``response`` re-signed now with the CA's current signing key."""
+    return ca.signing_key.sign(OCSPResponse.signable_bytes(
+        response.responder_name, response.serial, response.status,
+        response.produced_at, response.next_update))
+
+
+class TestStapleSignedOnce:
+    def test_memoised_staple_equals_a_fresh_signature(self):
+        ca = CertificateAuthority("OnceCA", is_public_trust=True,
+                                  rng=random.Random(62), now=NOW - DAY)
+        authority = RevocationAuthority(ca)
+        leaf, _ = ca.issue_leaf("once.example", now=NOW)
+        authority.register(leaf)
+        first = authority.ocsp_response(leaf, at=NOW)
+        again = authority.ocsp_response(leaf, at=NOW)
+        assert again is first
+        assert first.signature == _freshly_signed(ca, first)
+        assert again.to_bytes() == first.to_bytes()
+        later = authority.ocsp_response(leaf, at=NOW + 60)
+        assert later.produced_at == NOW + 60
+        assert later.signature == _freshly_signed(ca, later)
+        # A new status or a new signing key is a new response.
+        authority.revoke(leaf, at=NOW)
+        revoked = authority.ocsp_response(leaf, at=NOW)
+        assert revoked.status == CertStatus.REVOKED
+        assert revoked.signature == _freshly_signed(ca, revoked)
+        ca.add_intermediate("OnceCA Issuing", now=NOW)
+        rekeyed = authority.ocsp_response(leaf, at=NOW)
+        assert rekeyed.signature != revoked.signature
+        assert rekeyed.signature == _freshly_signed(ca, rekeyed)
+        rekeyed.verify(ca.signing_key.public)
 
 
 class TestCRL:
