@@ -41,12 +41,12 @@ Commands:
   unmatched 97.45% with per-fingerprint confidences;
 - ``verify``    differential conformance: ``record``/``check`` golden
   baselines, run the execution-mode equivalence ``matrix`` (serial,
-  cached, fault-injected, permuted trust stores, and the fabric
-  cluster backend), evaluate the paper ``invariants``,
+  cold and warm cache, permuted trust stores, and the fabric cluster
+  backend), evaluate the paper ``invariants``,
   digest-check the deterministic ``ml`` eval report against its
   committed baseline;
 - ``sweep``     resumable multi-config campaigns: ``run`` a seed grid
-  (plus trust-store / fault-rate ablations) inline, or with
+  (plus trust-store ablations) inline, or with
   ``--workers N`` across a one-host fabric cluster of N worker
   processes (optionally over a remote blob store with
   ``--store-backend http``), ``resume`` a killed campaign (completed
@@ -60,10 +60,9 @@ Commands:
 - ``trace-summary``  render a ``--trace`` JSONL file (top spans by
   self-time, metric table, manifest line).
 
-Every study command is *config-first*: the shared flags ``--seed``,
-``--retries``, and ``--trust-stores`` build one
-:class:`~repro.config.StudyConfig` (via :func:`config_from_args`), so no
-command silently drops an engine knob.
+Every study command is *config-first*: the shared flags ``--seed`` and
+``--trust-stores`` build one :class:`~repro.config.StudyConfig` (via
+:func:`config_from_args`), so no command silently drops a study knob.
 
 Caching: pass ``--cache-dir DIR`` (or set ``REPRO_CACHE_DIR``) to reuse
 expensive artifacts — the capture, the certificate dataset, every
@@ -110,9 +109,6 @@ DEFAULT_ML_REPORT = "ml_eval.json"
 def _add_config(parser):
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="world seed (default %(default)s)")
-    parser.add_argument("--retries", type=int, default=3,
-                        help="attempt budget per probe "
-                             "(default %(default)s)")
     parser.add_argument("--trust-stores", metavar="NAMES",
                         default=",".join(MAJOR_STORES),
                         help="comma-separated major stores the validator "
@@ -138,13 +134,10 @@ def _add_obs(parser):
 
 def config_from_args(args):
     """The full :class:`StudyConfig` a study command's flags describe."""
-    from repro.probing.engine import RetryPolicy
     stores = tuple(name.strip()
                    for name in args.trust_stores.split(",")
                    if name.strip())
-    return StudyConfig(seed=args.seed,
-                       retry=RetryPolicy(max_attempts=args.retries),
-                       trust_stores=stores)
+    return StudyConfig(seed=args.seed, trust_stores=stores)
 
 
 def store_from_args(args):
@@ -1099,8 +1092,8 @@ def build_parser():
         cmd_probe)
     p_probe.add_argument("-o", "--output", default="certificates.jsonl")
     p_probe.add_argument("--stats", action="store_true",
-                         help="print probe engine telemetry (attempts, "
-                              "retries, error taxonomy)")
+                         help="print probe engine telemetry (outcomes, "
+                              "per-vantage reachability, wall time)")
     _add_obs(p_probe)
 
     p_report = _add_study_command(
@@ -1287,7 +1280,7 @@ def build_parser():
     p_vmatrix = verify_sub.add_parser(
         "matrix",
         help="prove execution modes equivalent (serial, cold/warm "
-             "cache, faults+retries, store permutations, cluster)")
+             "cache, store permutations, cluster)")
     _add_config(p_vmatrix)
     p_vmatrix.add_argument("--report", metavar="PATH", default=None,
                            help="also write per-mode node digests and "
@@ -1321,7 +1314,7 @@ def build_parser():
     p_sweep = sub.add_parser(
         "sweep",
         help="process-parallel multi-config campaigns: seed grids, "
-             "trust-store and fault ablations, variance bands")
+             "trust-store ablations, variance bands")
     sweep_sub = p_sweep.add_subparsers(dest="sweep_command",
                                        required=True)
     p_srun = sweep_sub.add_parser(
@@ -1334,7 +1327,7 @@ def build_parser():
                              "--seed (default %(default)s)")
     p_srun.add_argument("--grid", metavar="AXES", default="seeds",
                         help="comma-separated grid axes from "
-                             "seeds,stores,faults (default %(default)s)")
+                             "seeds,stores,ml (default %(default)s)")
     p_srun.add_argument("--stage", choices=("full", "probe", "ml"),
                         default="full",
                         help="run the full pipeline or stop after "
@@ -1394,7 +1387,7 @@ def build_parser():
                                "at --seed (default %(default)s)")
     p_fserve.add_argument("--grid", metavar="AXES", default="seeds",
                           help="comma-separated grid axes from "
-                               "seeds,stores,faults "
+                               "seeds,stores,ml "
                                "(default %(default)s)")
     p_fserve.add_argument("--stage", choices=("full", "probe", "ml"),
                           default="full",

@@ -1,10 +1,10 @@
 """Study configuration: one frozen value object drives everything.
 
-A :class:`StudyConfig` pins every knob a study run has — the world seed,
-the probing vantage points, the probe engine's retry policy, and which
-major trust stores the validator unions — so a study is reproducible from
-its config alone.  It is hashable (all-frozen fields), which is what lets
-:func:`repro.study.get_study` memoize per config.
+A :class:`StudyConfig` pins every knob a study run has — the world seed
+and which major trust stores the validator unions — so a study is
+reproducible from its config alone.  It is hashable (all-frozen
+fields), which is what lets :func:`repro.study.get_study` memoize per
+config.
 
 Construction is config-first everywhere: :func:`repro.study.get_study`
 and :class:`repro.study.Study` take a config (or nothing, for the
@@ -13,15 +13,26 @@ default), never a bare seed.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
-
-from repro.probing.engine import RetryPolicy
-from repro.probing.vantage import VANTAGE_POINTS
+from dataclasses import dataclass
 
 DEFAULT_SEED = 2023
 
 #: The three synthetic major root programs (paper Section 5.3).
 MAJOR_STORES = ("mozilla", "apple", "microsoft")
+
+#: Retired config fields at the only values any study ever used: the
+#: probe retry policy and the three vantage points.  Config digests
+#: still hash them, so every store key, sweep unit key and the ML
+#: feature seed stay what they were.
+_RETIRED_FIELDS = {
+    "retry": {"attempt_timeout": 5.0, "backoff_base": 0.1,
+              "backoff_factor": 2.0, "jitter": 0.5, "max_attempts": 3},
+    "vantages": [
+        {"city": "New York, US", "name": "new-york", "region": "us"},
+        {"city": "Frankfurt, DE", "name": "frankfurt", "region": "eu"},
+        {"city": "Singapore, SG", "name": "singapore", "region": "asia"},
+    ],
+}
 
 
 @dataclass(frozen=True)
@@ -29,16 +40,10 @@ class StudyConfig:
     """Everything that parameterizes one study run."""
 
     seed: int = DEFAULT_SEED
-    #: vantage points the prober scans from (paper: NY/Frankfurt/SG).
-    vantages: tuple = VANTAGE_POINTS
-    #: retry/backoff/timeout policy for every probe.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: which major stores the chain validator unions (Zeek-style).
     trust_stores: tuple = MAJOR_STORES
 
     def __post_init__(self):
-        if not self.vantages:
-            raise ValueError("at least one vantage point is required")
         unknown = set(self.trust_stores) - set(MAJOR_STORES)
         if unknown:
             raise ValueError(f"unknown trust stores: {sorted(unknown)}")
@@ -46,14 +51,17 @@ class StudyConfig:
             raise ValueError("at least one trust store is required")
         if len(set(self.trust_stores)) != len(tuple(self.trust_stores)):
             raise ValueError("duplicate trust stores")
-        # Normalize list arguments so equal configs hash equally.  Trust
-        # stores are a *set* (the validator unions them, and union is
-        # commutative), so their order is canonicalized too: two configs
+        # Trust stores are a *set* (the validator unions them, and union
+        # is commutative), so their order is canonicalized: two configs
         # naming the same stores in any order compare, hash, and digest
         # identically.
-        object.__setattr__(self, "vantages", tuple(self.vantages))
         object.__setattr__(self, "trust_stores",
                            tuple(sorted(self.trust_stores)))
+
+    def digest_payload(self):
+        """The JSON object every digest of this config hashes."""
+        return dict(_RETIRED_FIELDS, seed=self.seed,
+                    trust_stores=list(self.trust_stores))
 
     def artifact_digest(self):
         """A stable content hash of every field.
@@ -65,12 +73,6 @@ class StudyConfig:
         it, and a :class:`~repro.obs.manifest.RunManifest` records it as
         the run's config identity.
         """
-        payload = {
-            "seed": self.seed,
-            "vantages": [asdict(vantage) for vantage in self.vantages],
-            "retry": asdict(self.retry),
-            "trust_stores": list(self.trust_stores),
-        }
-        canonical = json.dumps(payload, sort_keys=True,
+        canonical = json.dumps(self.digest_payload(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -23,6 +23,7 @@ from repro.inspector.generator import ServerSpec
 from repro.inspector.timeline import days, parse_date
 from repro.probing.network import SimulatedNetwork
 from repro.probing.prober import Prober
+from repro.probing.vantage import PRIMARY_VANTAGE
 from repro.x509.certificate import sign_certificate
 from repro.x509.keys import generate_keypair
 from repro.x509.names import DistinguishedName
@@ -153,7 +154,7 @@ def smart_tv_study(ecosystem=None, seed=2023):
         reports = {}
         infra = []
         for spec in members:
-            result = prober.probe_one(spec.fqdn, prober.vantages[0],
+            result = prober.probe_one(spec.fqdn, PRIMARY_VANTAGE,
                                       at=TV_CAPTURE_TIME)
             if not result.chain:
                 continue

@@ -8,24 +8,14 @@ pseudonymous in the generator).
 
 import json
 
-from repro.inspector.dataset import InspectorDataset
 from repro.inspector.model import ClientHelloRecord
 
 
-def record_to_dict(record):
-    """The JSONL row for one record (schema lives on the model)."""
-    return record.to_json()
-
-
-def record_from_dict(data):
-    return ClientHelloRecord.from_json(data)
-
-
 def save_records(records, path):
-    """Write records as JSONL."""
+    """Write records as JSONL (the row schema lives on the model)."""
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record_to_dict(record)) + "\n")
+            handle.write(json.dumps(record.to_json()) + "\n")
 
 
 def load_records(path):
@@ -41,13 +31,9 @@ def load_records(path):
             if line:
                 row = json.loads(line)
                 try:
-                    records.append(record_from_dict(row))
+                    records.append(ClientHelloRecord.from_json(row))
                 except ValueError as exc:
                     raise ValueError(
                         f"{path}: line {number}: {exc}") from None
     return records
 
-
-def load_dataset(path):
-    """Read a JSONL capture straight into an :class:`InspectorDataset`."""
-    return InspectorDataset(load_records(path))

@@ -26,7 +26,6 @@ makes the whole train/eval pipeline conformance-checkable.
 
 import hashlib
 import json
-from dataclasses import asdict
 
 try:
     import numpy as np
@@ -49,10 +48,9 @@ def training_config(config):
     """The config the learned attribution is a function of.
 
     Training and eval read only the capture, the corpus and the world's
-    ground truth, which the seed alone determines.  Probe-side knobs
-    (retry budget, trust stores, vantages) therefore map to the seed's
-    default config: they move neither a feature index nor the model's
-    identity.
+    ground truth, which the seed alone determines.  The trust-store
+    selection therefore maps to the seed's default config: it moves
+    neither a feature index nor the model's identity.
     """
     return StudyConfig(seed=config.seed)
 
@@ -68,7 +66,7 @@ def feature_seed(config):
     # The hashed payload still carries the retired ``probe_jobs`` field
     # at its only value, 1: dropping it would move every feature column
     # and the split, and with them the committed ML eval digest.
-    payload = dict(asdict(training_config(config)), probe_jobs=1)
+    payload = dict(training_config(config).digest_payload(), probe_jobs=1)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return int(hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16],
                16)

@@ -154,9 +154,9 @@ def gauge(name, value):
 def active_registry():
     """The active context's registry, or None when disabled.
 
-    Components that keep their own private registry when observability
-    is off (e.g. :class:`~repro.probing.engine.ProbeStats`) use this to
-    join the shared one when it is on.
+    Components that report into the shared registry only when
+    observability is on (e.g. the probe engine's ``probe_all``) use
+    this to find it.
     """
     return _active.metrics
 

@@ -127,11 +127,6 @@ class CounterFamily:
         with self._lock:
             return self._counts[str(key)]
 
-    def as_counter(self):
-        """A ``collections.Counter`` copy (the legacy ProbeStats view)."""
-        with self._lock:
-            return _TallyCounter(self._counts)
-
     def snapshot(self):
         with self._lock:
             return dict(sorted(self._counts.items()))

@@ -28,8 +28,8 @@ class Stopwatch:
 
     Used where a component wants span-style elapsed-time semantics (a
     live reading while running, frozen once stopped) without requiring
-    an active tracer — e.g. ``ProbeStats.wall_seconds``, which must
-    report elapsed time even when a run dies halfway.
+    an active tracer — e.g. the probe engine's ``wall_seconds``, which
+    it reports whether or not observability is on.
     """
 
     def __init__(self, clock=time.perf_counter):

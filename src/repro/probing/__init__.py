@@ -9,13 +9,7 @@ vantage points (:mod:`repro.probing.prober`), captured into a
 """
 
 from repro.probing.authorities import AuthorityEcosystem
-from repro.probing.engine import (
-    FaultInjector,
-    LatencyModel,
-    ProbeEngine,
-    ProbeStats,
-    RetryPolicy,
-)
+from repro.probing.engine import LatencyModel, ProbeEngine
 from repro.probing.network import SimulatedNetwork
 from repro.probing.prober import Prober, ProbeResult
 from repro.probing.certdataset import CertificateDataset
@@ -27,9 +21,6 @@ __all__ = [
     "Prober",
     "ProbeResult",
     "ProbeEngine",
-    "ProbeStats",
-    "RetryPolicy",
-    "FaultInjector",
     "LatencyModel",
     "CertificateDataset",
     "VANTAGE_POINTS",

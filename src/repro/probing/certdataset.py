@@ -12,32 +12,29 @@ from repro.probing.vantage import PRIMARY_VANTAGE
 
 
 class ProbeStatsSnapshot:
-    """A frozen, picklable view of one run's probe telemetry.
+    """The probe telemetry of one ``probe_all`` run, as a frozen value.
 
-    Live :class:`~repro.probing.engine.ProbeStats` is a view over metric
-    instruments (which hold locks and can't be pickled), so a
-    :class:`CertificateDataset` headed into the artifact store freezes its
-    stats into this value type first.  It exposes the same read surface —
-    the count attributes, the Counter views, ``to_json`` and ``summary``
-    — so cached datasets answer ``--stats`` and ``probe_stats`` pipeline
-    queries byte-identically to the run that produced them.
+    :meth:`~repro.probing.engine.ProbeEngine.probe_all` builds one from
+    that run's own counts, so it pickles into the artifact store as is
+    and a cached dataset answers ``--stats`` and the ``probe_stats``
+    pipeline node exactly like the run that produced it.
     """
 
     def __init__(self, data):
         self._data = dict(data)
 
     probes = property(lambda self: self._data.get("probes", 0))
-    attempts = property(lambda self: self._data.get("attempts", 0))
-    retries = property(lambda self: self._data.get("retries", 0))
-    exhausted = property(lambda self: self._data.get("exhausted", 0))
     wall_seconds = property(
         lambda self: self._data.get("wall_seconds", 0.0))
+    #: one attempt per probe and no retries: kept only because
+    #: perfbench's ``study_counts`` still reads both.
+    attempts = probes
+    retries = property(lambda self: 0)
 
     def _counter(self, key):
         return Counter(self._data.get(key, {}))
 
     outcomes = property(lambda self: self._counter("outcomes"))
-    faults = property(lambda self: self._counter("faults"))
     latency_buckets = property(
         lambda self: self._counter("latency_buckets"))
     reachable_by_vantage = property(
@@ -49,42 +46,31 @@ class ProbeStatsSnapshot:
         return dict(self._data)
 
     def summary(self):
-        return render_probe_stats(self._data)
+        """The compact ``--stats`` rendering.
 
+        The wall time is rounded once, to the dict's 3 decimals, then
+        shown with 2.
+        """
+        data = self._data
 
-def render_probe_stats(data):
-    """The compact ``--stats`` rendering of a probe-stats JSON dict.
+        def pairs(key):
+            return "  ".join(f"{name}={count}" for name, count
+                             in sorted(data.get(key, {}).items()))
 
-    Live :class:`~repro.probing.engine.ProbeStats` and its snapshot both
-    render through here from their ``to_json`` dict, so they print the
-    same wall time (rounded once, to the dict's 3 decimals, then shown
-    with 2).
-    """
-    lines = [f"probes {data.get('probes', 0)}  "
-             f"attempts {data.get('attempts', 0)}  "
-             f"retries {data.get('retries', 0)}  "
-             f"exhausted {data.get('exhausted', 0)}  "
-             f"wall {data.get('wall_seconds', 0.0):.2f}s"]
-
-    def pairs(key):
-        return "  ".join(f"{name}={count}" for name, count
-                         in sorted(data.get(key, {}).items()))
-
-    if data.get("faults"):
-        lines.append("faults:   " + pairs("faults"))
-    lines.append("outcomes: " + pairs("outcomes"))
-    lines.append("reachable: " + pairs("reachable_by_vantage"))
-    return "\n".join(lines)
+        return "\n".join([
+            f"probes {self.probes}  wall {self.wall_seconds:.2f}s",
+            "outcomes: " + pairs("outcomes"),
+            "reachable: " + pairs("reachable_by_vantage")])
 
 
 class CertificateDataset:
     """Probe results indexed for analysis.
 
-    ``stats`` carries the :class:`~repro.probing.engine.ProbeStats` of the
-    run that produced the dataset (``None`` for the serial prober).
+    ``stats`` carries the :class:`ProbeStatsSnapshot` of the engine run
+    that produced the dataset (``None`` for the serial prober).
     """
 
-    def __init__(self, results, probed_at=None, network=None, stats=None):
+    def __init__(self, results, probed_at=None, stats=None):
         self.results = list(results)
         self.probed_at = probed_at
         self.stats = stats
@@ -161,12 +147,8 @@ class CertificateDataset:
                 sorted(self._by_vantage[vantage].items())]
 
     def __getstate__(self):
-        """Freeze live ``stats`` (lock-holding metric views) for pickling."""
+        """Pickle the per-vantage index as plain dicts."""
         state = self.__dict__.copy()
-        stats = state.get("stats")
-        if stats is not None and not isinstance(stats,
-                                                ProbeStatsSnapshot):
-            state["stats"] = ProbeStatsSnapshot(stats.to_json())
         state["_by_vantage"] = {vantage: dict(results) for
                                 vantage, results in
                                 state["_by_vantage"].items()}

@@ -124,11 +124,8 @@ class Prober:
     :class:`repro.probing.engine.ProbeEngine`), so the memo needs no lock.
     """
 
-    def __init__(self, network, vantages=VANTAGE_POINTS, config=None):
-        if config is not None:
-            vantages = config.vantages
+    def __init__(self, network):
         self.network = network
-        self.vantages = tuple(vantages)
         self._decoded = {}
 
     def _certificate(self, der):
@@ -178,7 +175,7 @@ class Prober:
         byte-identically; returns a
         :class:`~repro.probing.certdataset.CertificateDataset`."""
         results = []
-        for vantage in self.vantages:
+        for vantage in VANTAGE_POINTS:
             for fqdn in snis:
                 results.append(self.probe_one(fqdn, vantage, at=at))
         return CertificateDataset(results, probed_at=at)

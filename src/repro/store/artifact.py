@@ -12,9 +12,9 @@ Design invariants:
 
 - **Keyed by meaning, not by flags.**  The key uses
   :meth:`repro.config.StudyConfig.artifact_digest`, which covers every
-  config field (seed, vantages, retry policy, trust stores) and nothing
-  else, so ``probe`` and a later ``report`` over the same config share
-  artifacts whatever their other flags.
+  config field (seed, trust stores) and nothing else, so ``probe`` and
+  a later ``report`` over the same config share artifacts whatever
+  their other flags.
 - **Version-fenced.**  The package version participates in the key, so
   upgrading the code silently invalidates every cached artifact (old
   entries become unreachable; ``repro cache stats`` still counts them

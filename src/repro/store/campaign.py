@@ -18,7 +18,7 @@ The index is keyed twice over:
 - each unit by its **unit key** — a content digest over the unit's spec
   (which itself embeds the config's
   :meth:`~repro.config.StudyConfig.artifact_digest` inputs plus the
-  sweep-only knobs: fault rates, probe latency scale, stage selection);
+  sweep-only knobs: probe latency scale, stage selection);
 - the campaign by a **campaign id** — a digest over every unit key plus
   the package version, so ``sweep run`` against an existing out
   directory resumes when the campaign is the same and starts fresh when

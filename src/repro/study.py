@@ -5,7 +5,7 @@ benchmarks, and examples share a memoized :class:`Study` per
 :class:`~repro.config.StudyConfig` instead of regenerating.  Expensive
 config-independent artifacts (the world, the simulated network, the
 library corpus) are additionally memoized per *seed*, so two configs that
-differ only in retry policy or trust-store selection share them.
+differ only in trust-store selection share them.
 
 A study may also carry a persistent
 :class:`~repro.store.artifact.ArtifactStore`
@@ -85,12 +85,11 @@ class Study:
     def adopt_certificates(self, certificates):
         """Use a pre-built certificate dataset instead of probing.
 
-        A seam for the conformance harness (:mod:`repro.verify`) and for
-        tests: an equivalence-matrix mode probes through a
-        :class:`~repro.probing.engine.FaultInjector` with its own engine
-        and hands the result to a *fresh* ``Study`` here.  Never call
-        this on the shared memoized study — adopt only on instances you
-        own.
+        A seam for sweep units and tests: a unit with a non-zero probe
+        ``time_scale`` probes through its own latency-modelled
+        :class:`~repro.probing.engine.ProbeEngine` and hands the result
+        to a *fresh* ``Study`` here.  Never call this on the shared
+        memoized study — adopt only on instances you own.
         """
         self._certificates = certificates
         return self
@@ -161,8 +160,7 @@ class Study:
     def certificates(self):
         """The three-vantage certificate dataset (Section 5).
 
-        Probed by a one-worker :class:`~repro.probing.engine.ProbeEngine`
-        under the config's vantages and retry policy.
+        Probed by a one-worker :class:`~repro.probing.engine.ProbeEngine`.
         Store-backed: with an attached artifact store, a cached dataset
         is reused without building the network or probing.
         """
@@ -171,10 +169,7 @@ class Study:
                 certificates = self._cached("certificates")
                 if certificates is MISS:
                     snis = [spec.fqdn for spec in self.world.servers]
-                    engine = ProbeEngine(self.network,
-                                         vantages=self.config.vantages,
-                                         retry=self.config.retry)
-                    certificates = engine.probe_all(snis)
+                    certificates = ProbeEngine(self.network).probe_all(snis)
                     self._store_put("certificates", certificates)
                 self._certificates = certificates
                 span.incr("snis", len(certificates))

@@ -1,37 +1,31 @@
 """Sweep units and grid expansion.
 
 A :class:`SweepUnit` is one independent campaign member: a full
-:class:`~repro.config.StudyConfig` (seed, retry budget, trust-store
-selection) plus the sweep-only knobs a config deliberately does not
-carry — fault-injection rates, the probe latency time scale, and which
-pipeline stage to run.  Units are plain JSON values on both sides of the
-process boundary (a fabric worker receives a spec dict, never a live
-object graph), and each one is content-addressed by :meth:`SweepUnit.key`
-so the campaign ledger can skip completed configs on resume.
+:class:`~repro.config.StudyConfig` (seed, trust-store selection) plus
+the sweep-only knobs a config deliberately does not carry — the probe
+latency time scale and which pipeline stage to run.  Units are plain
+JSON values on both sides of the process boundary (a fabric worker
+receives a spec dict, never a live object graph), and each one is
+content-addressed by :meth:`SweepUnit.key` so the campaign ledger can
+skip completed configs on resume.
 
 :func:`expand_grid` turns a base config plus grid axes into the unit
 list: a seed grid always, optionally per-store trust ablations
-(``"stores"``), a fault-rate ablation (``"faults"``), and a
-learned-attribution evaluation (``"ml"``, a ``stage="ml"`` unit) per
-seed.
+(``"stores"``) and a learned-attribution evaluation (``"ml"``, a
+``stage="ml"`` unit) per seed.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import MAJOR_STORES, StudyConfig
 
 #: grid axes ``expand_grid`` understands.
-GRID_AXES = ("seeds", "stores", "faults", "ml")
+GRID_AXES = ("seeds", "stores", "ml")
 
 #: pipeline stages a unit may run.
 STAGES = ("full", "probe", "ml")
-
-#: the fault-rate ablation applied by the ``"faults"`` axis — the same
-#: rates the equivalence matrix's ``faults-retried`` mode proves
-#: recoverable.
-FAULT_ABLATION = (("transient_rate", 0.2), ("reset_rate", 0.1))
 
 
 @dataclass(frozen=True)
@@ -40,11 +34,7 @@ class SweepUnit:
 
     name: str
     seed: int
-    retries: int = 3
     trust_stores: tuple = MAJOR_STORES
-    #: ``((rate name, value), ...)`` handed to the FaultInjector; empty
-    #: means clean probing.
-    fault_rates: tuple = ()
     #: real seconds slept per simulated network second while probing
     #: (0.0 = no sleeping); output bytes never depend on it.
     time_scale: float = 0.0
@@ -58,32 +48,19 @@ class SweepUnit:
         if self.stage not in STAGES:
             raise ValueError(f"unknown sweep stage {self.stage!r}; "
                              f"expected one of {STAGES}")
-        if self.retries < 1:
-            raise ValueError("retries must be >= 1")
-        if self.fault_rates and self.retries < 2:
-            raise ValueError("fault-injected units need retries >= 2 "
-                             "so every fault is recovered")
         object.__setattr__(self, "trust_stores",
                            tuple(self.trust_stores))
-        object.__setattr__(self, "fault_rates",
-                           tuple((str(k), float(v))
-                                 for k, v in self.fault_rates))
 
     def study_config(self):
         """The frozen :class:`StudyConfig` this unit executes."""
-        from repro.probing.engine import RetryPolicy
-        return StudyConfig(seed=self.seed,
-                           retry=RetryPolicy(max_attempts=self.retries),
-                           trust_stores=self.trust_stores)
+        return StudyConfig(seed=self.seed, trust_stores=self.trust_stores)
 
     def to_json(self):
         """The spec dict crossing the process boundary (plus the key)."""
         return {
             "name": self.name,
             "seed": self.seed,
-            "retries": self.retries,
             "trust_stores": list(self.trust_stores),
-            "fault_rates": [list(pair) for pair in self.fault_rates],
             "time_scale": self.time_scale,
             "stage": self.stage,
             "key": self.key(),
@@ -91,16 +68,27 @@ class SweepUnit:
 
     @classmethod
     def from_json(cls, payload):
-        return cls(
+        """The unit a spec describes.
+
+        Specs written before the probe retry budget and fault injection
+        were retired may carry ``retries`` and ``fault_rates``; only
+        their clean values (3 and empty) describe a unit this build
+        runs, so any other value raises a one-line ``ValueError``
+        instead of being read as its clean twin.
+        """
+        unit = cls(
             name=payload["name"],
             seed=int(payload["seed"]),
-            retries=int(payload.get("retries", 3)),
             trust_stores=tuple(payload.get("trust_stores",
                                            MAJOR_STORES)),
-            fault_rates=tuple(tuple(pair) for pair
-                              in payload.get("fault_rates", ())),
             time_scale=float(payload.get("time_scale", 0.0)),
             stage=payload.get("stage", "full"))
+        if payload.get("retries", 3) != 3:
+            raise ValueError(f"retired field 'retries' must be 3, not "
+                             f"{payload['retries']!r}")
+        if payload.get("fault_rates"):
+            raise ValueError("retired field 'fault_rates' must be empty")
+        return unit
 
     def key(self):
         """Content digest of everything that selects this unit's work.
@@ -108,11 +96,12 @@ class SweepUnit:
         Built on the config's :meth:`StudyConfig.artifact_digest` (the
         result-determining fields) plus the sweep-only knobs, so two
         units doing identical work collide and the campaign ledger
-        dedupes them.
+        dedupes them.  The payload keeps the retired ``fault_rates``
+        at its clean value, so every key stays what it was.
         """
         payload = {
             "artifact": self.study_config().artifact_digest(),
-            "fault_rates": [list(pair) for pair in self.fault_rates],
+            "fault_rates": [],
             "time_scale": self.time_scale,
             "stage": self.stage,
         }
@@ -138,39 +127,28 @@ def expand_grid(base_config, seeds, grid=("seeds",), time_scale=0.0,
 
     ``seeds`` consecutive seeds starting at ``base_config.seed``; per
     seed, the ``"stores"`` axis adds one single-trust-store ablation per
-    major store and the ``"faults"`` axis adds one fault-injected run
-    (retry budget raised so every fault is recovered and the outputs
-    stay byte-identical to the clean unit).
+    major store and the ``"ml"`` axis adds one ``stage="ml"`` unit.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     axes = parse_grid(",".join(grid)) if not isinstance(grid, str) \
         else parse_grid(grid)
-    base_retries = base_config.retry.max_attempts
     units = []
     for offset in range(int(seeds)):
         seed = base_config.seed + offset
         units.append(SweepUnit(
-            name=f"seed{seed}", seed=seed, retries=base_retries,
+            name=f"seed{seed}", seed=seed,
             trust_stores=base_config.trust_stores,
             time_scale=time_scale, stage=stage))
         if "stores" in axes:
             for store in MAJOR_STORES:
                 units.append(SweepUnit(
                     name=f"seed{seed}-store-{store}", seed=seed,
-                    retries=base_retries, trust_stores=(store,),
+                    trust_stores=(store,),
                     time_scale=time_scale, stage=stage))
-        if "faults" in axes:
-            units.append(SweepUnit(
-                name=f"seed{seed}-faults", seed=seed,
-                retries=max(4, base_retries),
-                trust_stores=base_config.trust_stores,
-                fault_rates=FAULT_ABLATION,
-                time_scale=time_scale, stage=stage))
         if "ml" in axes:
             units.append(SweepUnit(
                 name=f"seed{seed}-ml", seed=seed,
-                retries=base_retries,
                 trust_stores=base_config.trust_stores,
                 time_scale=time_scale, stage="ml"))
     return tuple(units)

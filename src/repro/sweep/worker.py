@@ -13,10 +13,10 @@ unit.  It is deliberately top-level and JSON-in/JSON-out:
   analysis objects out.
 
 Each worker builds its own :class:`~repro.study.Study` (never the
-memoized ``get_study`` — fault-injected units must not pollute a shared
-memo), attaches the campaign's shared artifact store when one is
-configured — local directory or remote HTTP backend, resolved from the
-payload's store-backend spec by
+memoized ``get_study`` — a unit that adopts its own probe run must not
+pollute a shared memo), attaches the campaign's shared artifact store
+when one is configured — local directory or remote HTTP backend,
+resolved from the payload's store-backend spec by
 :func:`repro.store.backend.store_from_spec`
 (warming it for every later unit and re-run), and runs under its own
 :class:`repro.obs.Observability` context so per-config stage timings
@@ -43,27 +43,15 @@ from repro.verify.canonical import digest
 
 
 def _probe_via_engine(study, unit):
-    """Probe through a fault injector / latency model, then adopt.
+    """Probe under the unit's latency time scale, then adopt.
 
-    Mirrors the equivalence matrix's fault mode: the injector's
-    ``max_faulty_attempts`` stays strictly below the retry budget, so
-    the adopted dataset is byte-identical to clean probing.
+    The modelled round-trip sleeps change only wall-clock, so the
+    adopted dataset is byte-identical to the study's own probing.
     """
-    from repro.probing.engine import (FaultInjector, LatencyModel,
-                                      ProbeEngine)
-    config = study.config
-    network = study.network
-    target = network
-    if unit.fault_rates:
-        budget = config.retry.max_attempts
-        target = FaultInjector(network,
-                               max_faulty_attempts=min(2, budget - 1),
-                               **dict(unit.fault_rates))
-    latency = LatencyModel(seed=config.seed) if unit.time_scale > 0.0 \
-        else None
-    engine = ProbeEngine(target, vantages=config.vantages,
-                         retry=config.retry, latency=latency,
-                         time_scale=unit.time_scale, seed=network.seed)
+    from repro.probing.engine import LatencyModel, ProbeEngine
+    engine = ProbeEngine(study.network,
+                         latency=LatencyModel(seed=study.config.seed),
+                         time_scale=unit.time_scale)
     snis = [spec.fqdn for spec in study.world.servers]
     return study.adopt_certificates(engine.probe_all(snis))
 
@@ -117,7 +105,7 @@ def run_unit(payload):
         store = store_from_spec(payload.get("store"))
         if store is not None:
             study.attach_store(store)
-        if unit.fault_rates or unit.time_scale > 0.0:
+        if unit.time_scale > 0.0:
             _probe_via_engine(study, unit)
         with ctx.span(f"sweep.unit.{unit.name}"):
             if unit.stage == "probe":

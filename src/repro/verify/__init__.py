@@ -1,7 +1,7 @@
 """Differential conformance: golden baselines, equivalence, invariants.
 
 The repository's determinism claims (cold == warm, inline == cluster,
-fault-injected-with-retries == clean, trust-store order irrelevant) and
+trust-store order irrelevant) and
 its fidelity claims (outputs quantitatively resemble the paper) are
 enforced here rather than spot-checked per feature:
 

@@ -20,8 +20,9 @@ Node order matters: nodes are compared in
 :func:`repro.core.pipeline.analysis_stage_names` order (Section 4 before
 Section 5, paper order within each side), then the derived artifacts.
 Telemetry nodes listed in :data:`VOLATILE_NODES` measure the run, not
-the study (engine attempt counts change under fault injection; wall
-clock always changes), and are recorded but never compared.
+the study (wall clock always changes, and a store-backed run reports
+the telemetry of the run that filled the store), and are recorded but
+never compared.
 """
 
 import json
@@ -36,8 +37,7 @@ from repro.verify.canonical import (canonicalize, digest,
 BASELINE_FORMAT = 1
 
 #: nodes that are engine telemetry rather than study results: recorded
-#: for the curious, excluded from equality (attempt counters legitimately
-#: differ under fault injection; wall-clock always differs).
+#: for the curious, excluded from equality (wall-clock always differs).
 VOLATILE_NODES = frozenset({"analysis.server.probe_stats"})
 
 #: canonical trees larger than this (serialized) are stored digest-only,

@@ -24,7 +24,7 @@ compare (or hash) that.  This module owns the mapping:
   "mismatch".
 
 Volatile telemetry: a few fields measure the *run* rather than the
-*study* (wall-clock inside :meth:`ProbeStats.to_json`).  Keys listed in
+*study* (wall-clock inside :meth:`ProbeStatsSnapshot.to_json`).  Keys listed in
 :data:`VOLATILE_KEYS` are scrubbed to a placeholder during
 canonicalization so byte-identity claims quantify results, not timings.
 """

@@ -1,15 +1,15 @@
 """The equivalence matrix: one study, many execution modes, one answer.
 
 The repository's headline determinism claims — cold vs warm cache,
-fault-injected vs clean (given retry budget), any trust-store spelling,
-inline vs the fabric cluster — were each spot-checked in whichever test
-file introduced them.  The matrix enforces them *systematically*: it
-executes the full pipeline under a configurable grid of
-:class:`ExecutionMode`\\ s, has the :class:`AnalysisScheduler` report a
-canonical digest per analysis node in every mode, and asserts that all
-modes agree node-for-node.  A failure names the first pair of modes and
-the first analysis node (paper order) whose digests disagree — the
-starting point for bisecting a determinism regression.
+any trust-store spelling, inline vs the fabric cluster — were each
+spot-checked in whichever test file introduced them.  The matrix
+enforces them *systematically*: it executes the full pipeline under a
+configurable grid of :class:`ExecutionMode`\\ s, has the
+:class:`AnalysisScheduler` report a canonical digest per analysis node
+in every mode, and asserts that all modes agree node-for-node.  A
+failure names the first pair of modes and the first analysis node
+(paper order) whose digests disagree — the starting point for
+bisecting a determinism regression.
 
 Every perf/scale PR gets the same cheap proof obligation: run
 ``repro verify matrix`` (or ``make verify``) and show the grid still
@@ -34,13 +34,6 @@ class ExecutionMode:
         name: display label (also the report column).
         cache: ``"off"`` (no store), ``"cold"`` (fresh store), or
             ``"warm"`` (same store, second run — every node a hit).
-        fault_rates: when set, probing goes through a
-            :class:`~repro.probing.engine.FaultInjector` with these
-            rates (keys: ``transient_rate``/``reset_rate``/
-            ``slow_rate``); ``max_faulty_attempts`` stays strictly
-            below the retry budget so every fault is recovered.
-        retries: probe attempt budget override (fault modes need > the
-            injector's ``max_faulty_attempts``).
         trust_stores: trust-store selection spelling (any permutation
             must produce identical artifacts).
         backend: ``"inline"`` runs the pipeline in this process;
@@ -52,8 +45,6 @@ class ExecutionMode:
 
     name: str
     cache: str = "off"
-    fault_rates: tuple = ()   # of (rate name, value) pairs; frozen-able
-    retries: int = None
     trust_stores: tuple = None
     backend: str = "inline"
 
@@ -64,10 +55,6 @@ def default_modes():
         ExecutionMode("serial"),
         ExecutionMode("cache-cold", cache="cold"),
         ExecutionMode("cache-warm", cache="warm"),
-        ExecutionMode("faults-retried",
-                      fault_rates=(("transient_rate", 0.2),
-                                   ("reset_rate", 0.1)),
-                      retries=4),
         ExecutionMode("stores-permuted",
                       trust_stores=tuple(reversed(MAJOR_STORES))),
         ExecutionMode("cluster", backend="cluster"),
@@ -154,29 +141,7 @@ class EquivalenceMatrix:
         config = self.base_config
         if mode.trust_stores is not None:
             config = replace(config, trust_stores=mode.trust_stores)
-        if mode.retries is not None:
-            config = replace(config,
-                             retry=replace(config.retry,
-                                           max_attempts=mode.retries))
         return config
-
-    def _mode_study(self, mode, config):
-        # A fresh Study per mode: matrix modes must never pollute the
-        # global get_study memo (fault-injected certificates especially).
-        study = Study(config)
-        if mode.fault_rates:
-            from repro.probing.engine import FaultInjector, ProbeEngine
-            rates = dict(mode.fault_rates)
-            budget = config.retry.max_attempts
-            injector = FaultInjector(
-                study.network,
-                max_faulty_attempts=min(2, budget - 1), **rates)
-            engine = ProbeEngine(injector, vantages=config.vantages,
-                                 retry=config.retry,
-                                 seed=study.network.seed)
-            snis = [spec.fqdn for spec in study.world.servers]
-            study.adopt_certificates(engine.probe_all(snis))
-        return study
 
     def _mode_store(self, mode, root):
         from repro.store import ArtifactStore
@@ -198,9 +163,7 @@ class EquivalenceMatrix:
         from repro.store.campaign import CampaignIndex
         from repro.sweep.grid import SweepUnit
         unit = SweepUnit(name=mode.name, seed=config.seed,
-                         retries=config.retry.max_attempts,
-                         trust_stores=config.trust_stores,
-                         fault_rates=mode.fault_rates)
+                         trust_stores=config.trust_stores)
         index = CampaignIndex.create(
             f"{workdir}/{mode.name}-campaign.json", [unit.to_json()],
             unit.stage)
@@ -222,11 +185,12 @@ class EquivalenceMatrix:
         if mode.backend == "cluster":
             return self._run_cluster_mode(mode, config, workdir)
         store = self._mode_store(mode, f"{workdir}/{mode.name}")
+        # A fresh Study per mode: matrix modes must never pollute the
+        # global get_study memo.
         if mode.cache == "warm":
             # Populate, then measure the all-hits run with fresh state.
-            warmup = self._mode_study(mode, config).attach_store(store)
-            run_full_study(warmup)
-        study = self._mode_study(mode, config).attach_store(store)
+            run_full_study(Study(config, store=store))
+        study = Study(config, store=store)
         digests = {}
         run_full_study(
             study,

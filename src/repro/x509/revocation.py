@@ -1,4 +1,4 @@
-"""Revocation infrastructure: CRLs and OCSP responders.
+"""Revocation infrastructure: OCSP responders.
 
 The paper touches revocation twice: Appendix B.9 measures how many IoT
 clients request OCSP staples (648 devices), and Section 5.3 argues that
@@ -6,22 +6,17 @@ private CAs' inability to "quickly replace or rotate" certificates opens
 the door to attackers.  This module supplies the machinery both threads
 need:
 
-- :class:`CertificateRevocationList` — a signed, serial-number-based CRL
-  per CA;
-- :class:`OCSPResponder` — per-CA responder producing signed
-  :class:`OCSPResponse` objects (good / revoked / unknown), suitable for
-  stapling;
+- :class:`OCSPResponse` — a signed good / revoked / unknown status for
+  one certificate, in a wire format suitable for stapling;
 - :class:`RevocationAuthority` — the CA-side facade: revoke a
-  certificate, publish CRLs, answer OCSP queries.
+  certificate, answer OCSP queries.
 
-Responses are really signed by the CA key and really verified by the
-checker, so a forged staple fails just as it would in the real PKI.
+Responses are really signed by the CA key, so a forged staple fails
+:meth:`OCSPResponse.verify` just as it would in the real PKI.
 """
 
 import enum
 from dataclasses import dataclass
-
-from repro.x509.errors import SignatureError
 
 
 class RevocationReason(enum.Enum):
@@ -45,33 +40,6 @@ class RevocationEntry:
     serial: int
     revoked_at: int
     reason: RevocationReason
-
-
-@dataclass
-class CertificateRevocationList:
-    """A CRL: the issuer's signed list of revoked serials."""
-
-    issuer_name: str
-    this_update: int
-    next_update: int
-    entries: tuple
-    signature: bytes = b""
-
-    def to_signable_bytes(self):
-        body = [self.issuer_name, str(self.this_update),
-                str(self.next_update)]
-        body += [f"{e.serial}:{e.revoked_at}:{e.reason.value}"
-                 for e in self.entries]
-        return "\n".join(body).encode("utf-8")
-
-    def contains(self, serial):
-        return any(entry.serial == serial for entry in self.entries)
-
-    def is_stale(self, at):
-        return at > self.next_update
-
-    def verify(self, issuer_public_key):
-        issuer_public_key.verify(self.to_signable_bytes(), self.signature)
 
 
 @dataclass(frozen=True)
@@ -99,9 +67,6 @@ class OCSPResponse:
                                 self.next_update),
             self.signature)
 
-    def is_stale(self, at):
-        return at > self.next_update
-
     # --- wire format (for TLS CertificateStatus stapling) -------------------
 
     def to_bytes(self):
@@ -127,11 +92,10 @@ class RevocationAuthority:
     """The revocation side of one CA.
 
     Wraps a :class:`~repro.x509.ca.CertificateAuthority`'s signing key to
-    issue CRLs and OCSP responses for the certificates it signed.
+    issue OCSP responses for the certificates it signed.
     """
 
-    #: CRL and OCSP response freshness windows (seconds).
-    CRL_VALIDITY = 7 * 86_400
+    #: OCSP response freshness window (seconds).
     OCSP_VALIDITY = 4 * 86_400
 
     def __init__(self, ca):
@@ -156,20 +120,6 @@ class RevocationAuthority:
         self.register(certificate)
         self._revoked[certificate.serial] = RevocationEntry(
             serial=certificate.serial, revoked_at=at, reason=reason)
-
-    def is_revoked(self, certificate):
-        return certificate.serial in self._revoked
-
-    # --- CRL -------------------------------------------------------------------
-
-    def issue_crl(self, at):
-        entries = tuple(sorted(self._revoked.values(),
-                               key=lambda e: e.serial))
-        crl = CertificateRevocationList(
-            issuer_name=self._ca.name, this_update=at,
-            next_update=at + self.CRL_VALIDITY, entries=entries)
-        crl.signature = self._ca.signing_key.sign(crl.to_signable_bytes())
-        return crl
 
     # --- OCSP -------------------------------------------------------------------
 
@@ -201,37 +151,3 @@ class RevocationAuthority:
             self._responses[(key, message)] = response
         return response
 
-
-class RevocationChecker:
-    """Client-side revocation checking over CRLs or OCSP staples."""
-
-    def __init__(self, trusted_responders):
-        """``trusted_responders``: responder name → public key."""
-        self._keys = dict(trusted_responders)
-
-    def check_staple(self, certificate, response, at):
-        """Validate an OCSP staple for ``certificate``.
-
-        Returns a :class:`CertStatus`; raises
-        :class:`~repro.x509.errors.SignatureError` for forged staples and
-        treats stale or mismatched staples as UNKNOWN (soft-fail, the
-        dominant real-world client behaviour).
-        """
-        key = self._keys.get(response.responder_name)
-        if key is None:
-            return CertStatus.UNKNOWN
-        response.verify(key)  # raises on forgery
-        if response.serial != certificate.serial or response.is_stale(at):
-            return CertStatus.UNKNOWN
-        return response.status
-
-    def check_crl(self, certificate, crl, at):
-        """Validate a CRL and look the certificate up in it."""
-        key = self._keys.get(crl.issuer_name)
-        if key is None:
-            return CertStatus.UNKNOWN
-        crl.verify(key)
-        if crl.is_stale(at):
-            return CertStatus.UNKNOWN
-        return CertStatus.REVOKED if crl.contains(certificate.serial) \
-            else CertStatus.GOOD

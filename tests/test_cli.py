@@ -20,6 +20,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_retries_flag_is_refused(self, capsys):
+        # Probes are never retried, so no study command takes a budget.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--retries", "3"])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == ["repro: error: unrecognized arguments: "
+                          "--retries 3"]
+
 
 class TestCommands:
     # The Study cache makes these cheap after the session fixtures ran.
@@ -50,11 +60,10 @@ class TestCommands:
         assert main(["probe", "-o", str(stats_out), "--stats"]) == 0
         assert plain_out.read_text() == stats_out.read_text()
         text = capsys.readouterr().out
-        assert "retries" in text and "outcomes" in text
+        assert "probes" in text and "outcomes" in text
 
     def test_probe_flag_defaults(self):
         args = build_parser().parse_args(["probe"])
-        assert args.retries == 3
         assert args.stats is False
 
     def test_report_to_stdout(self, study, capsys):

@@ -4,13 +4,8 @@ import json
 
 import pytest
 
-from repro.inspector.io import (
-    load_dataset,
-    load_records,
-    record_from_dict,
-    record_to_dict,
-    save_records,
-)
+from repro.inspector.io import load_records, save_records
+from repro.inspector.model import ClientHelloRecord
 from repro.tlslib.versions import TLSVersion
 from tests.conftest import make_record
 
@@ -20,28 +15,29 @@ class TestDictRoundTrip:
         record = make_record(suites=(0x0A0A, 0xC02F),
                              extensions=(0x0A0A, 0, 10),
                              version=TLSVersion.SSL_3_0)
-        assert record_from_dict(record_to_dict(record)) == record
+        assert ClientHelloRecord.from_json(record.to_json()) == record
 
     def test_null_sni_roundtrip(self):
         record = make_record(sni=None)
-        loaded = record_from_dict(record_to_dict(record))
+        loaded = ClientHelloRecord.from_json(record.to_json())
         assert loaded.sni is None
 
     def test_missing_sni_key_tolerated(self):
-        payload = record_to_dict(make_record())
+        payload = make_record().to_json()
         del payload["sni"]
-        assert record_from_dict(payload).sni is None
+        assert ClientHelloRecord.from_json(payload).sni is None
 
     def test_version_round_trips_as_int(self):
-        payload = record_to_dict(make_record(version=TLSVersion.TLS_1_0))
+        payload = make_record(version=TLSVersion.TLS_1_0).to_json()
         assert payload["tls_version"] == 0x0301
-        assert record_from_dict(payload).tls_version is TLSVersion.TLS_1_0
+        assert ClientHelloRecord.from_json(payload).tls_version \
+            is TLSVersion.TLS_1_0
 
     def test_bad_version_rejected(self):
-        payload = record_to_dict(make_record())
+        payload = make_record().to_json()
         payload["tls_version"] = 0x9999
         with pytest.raises(ValueError):
-            record_from_dict(payload)
+            ClientHelloRecord.from_json(payload)
 
 
 class TestFiles:
@@ -61,7 +57,7 @@ class TestFiles:
 
     def test_missing_required_field_raises(self, tmp_path):
         path = tmp_path / "incomplete.jsonl"
-        payload = record_to_dict(make_record())
+        payload = make_record().to_json()
         del payload["vendor"]
         path.write_text("\n" + json.dumps(payload) + "\n")
         with pytest.raises(ValueError,
@@ -79,18 +75,10 @@ class TestFiles:
     def test_malformed_row_raises_one_line_value_error(self, row,
                                                        message):
         if isinstance(row, dict):
-            row = dict(record_to_dict(make_record()), **row)
+            row = dict(make_record().to_json(), **row)
         with pytest.raises(ValueError, match=message) as raised:
-            record_from_dict(row)
+            ClientHelloRecord.from_json(row)
         assert len(str(raised.value).splitlines()) == 1
-
-    def test_load_dataset_builds_indexes(self, tmp_path):
-        records = [make_record(device="a"), make_record(device="b")]
-        path = tmp_path / "capture.jsonl"
-        save_records(records, path)
-        dataset = load_dataset(path)
-        assert dataset.device_count == 2
-        assert dataset.fingerprint_count == 1
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

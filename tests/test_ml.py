@@ -68,13 +68,10 @@ class TestFeatures:
 
     def test_probe_side_knobs_do_not_move_the_model(self, study):
         # Training reads only seed-determined inputs, so a config that
-        # differs in retry budget or trust stores (the verify matrix's
-        # faults-retried / stores modes) must give the same eval
-        # payload, byte for byte.
+        # differs in trust stores (the verify matrix's stores mode) must
+        # give the same eval payload, byte for byte.
         from dataclasses import replace
         knobs = replace(study.config,
-                        retry=replace(study.config.retry,
-                                      max_attempts=4),
                         trust_stores=study.config.trust_stores[:1])
         assert feature_seed(knobs) == feature_seed(study.config)
         inputs = (study.dataset, study.corpus, study.world, knobs)

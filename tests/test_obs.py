@@ -1,9 +1,9 @@
 """Tests for the ``repro.obs`` observability subsystem.
 
 Covers span nesting and thread-safety, metric snapshot determinism
-across probe worker counts, run-manifest round-trips, the ProbeStats
-registry view, and the CLI ``--trace``/``--metrics``/``trace-summary``
-surface.
+across probe worker counts, run-manifest round-trips, per-run probe
+stats beside the shared registry, and the CLI
+``--trace``/``--metrics``/``trace-summary`` surface.
 """
 
 import json
@@ -20,8 +20,7 @@ from repro.obs.metrics import MetricsRegistry, flatten_snapshot
 from repro.obs.sink import JsonlSink, NullSink, read_events
 from repro.obs.summary import render_summary, span_rows
 from repro.obs.tracer import NULL_SPAN, Stopwatch, Tracer
-from repro.probing.engine import ProbeEngine, ProbeStats, RetryPolicy
-from repro.probing.vantage import VANTAGE_POINTS
+from repro.probing.engine import ProbeEngine
 
 
 class FakeClock:
@@ -292,82 +291,42 @@ class TestObsContext:
 
 
 class TestProbeStatsView:
-    def test_view_is_backed_by_registry(self):
-        registry = MetricsRegistry()
-        stats = ProbeStats(registry=registry)
-        stats.record_attempt(0.005)
-        stats.record_attempt(0.2, fault=type(
-            "F", (), {"category": "transient"})())
-        assert stats.attempts == 2
-        assert stats.retries == 1
-        assert stats.faults == {"transient": 1}
-        assert stats.latency_buckets == {"<10ms": 1, "<250ms": 1}
-        snap = registry.snapshot()
-        assert snap["counters"]["probe.attempts"] == 2
-        assert snap["families"]["probe.faults"] == {"transient": 1}
-
-    def test_wall_seconds_derives_from_attached_clock(self):
-        clock = FakeClock()
-        stats = ProbeStats()
-        assert stats.wall_seconds == 0.0
-        watch = Stopwatch(clock=clock)
-        stats.attach_clock(watch)
-        clock.advance(7.0)
-        # A run that died halfway still reports elapsed time.
-        assert stats.wall_seconds == 7.0
-        watch.stop()
-        clock.advance(2.0)
-        assert stats.wall_seconds == 7.0
-        stats.wall_seconds = 1.25  # explicit override wins
-        assert stats.wall_seconds == 1.25
-        assert stats.to_json()["wall_seconds"] == 1.25
-
-    def test_engine_reports_elapsed_on_failed_run(self, network, study):
-        class Exploding:
-            """Network wrapper that dies after a few probes."""
-
-            def __init__(self, inner):
-                self.inner = inner
-                self.seed = inner.seed
-                self.calls = 0
-
-            @property
-            def endpoints(self):
-                return self.inner.endpoints
-
-            def connect(self, *args, **kwargs):
-                self.calls += 1
-                if self.calls > 5:
-                    raise RuntimeError("mid-run crash")
-                return self.inner.connect(*args, **kwargs)
-
-        snis = [s.fqdn for s in study.world.servers][:10]
-        stats = ProbeStats()
-        engine = ProbeEngine(Exploding(network))
-        with pytest.raises(RuntimeError):
-            for fqdn in snis:
-                engine.probe_one(fqdn, VANTAGE_POINTS[0], stats=stats)
-        assert stats.probes > 0  # partial progress was recorded
-
     def test_engine_joins_active_registry(self, network, study):
         snis = [s.fqdn for s in study.world.servers][:20]
         with obs.enabled() as ctx:
             dataset = ProbeEngine(network, jobs=2).probe_all(snis)
-        assert dataset.stats.registry is ctx.metrics
         snap = ctx.metrics.snapshot()
         assert snap["counters"]["probe.probes"] == len(snis) * 3
+        assert snap["families"]["probe.outcomes"] == \
+            dict(dataset.stats.outcomes)
+        assert snap["histograms"]["probe.latency"] == \
+            dict(dataset.stats.latency_buckets)
         probe_span = ctx.tracer.find("probe.all")[0]
         assert probe_span.counters["probes"] == len(snis) * 3
         assert dataset.stats.wall_seconds > 0
+
+    def test_each_run_reports_its_own_stats(self, network, study):
+        # Two runs under one active context: each dataset counts its
+        # own probes, and the shared registry holds their sum.
+        snis = [s.fqdn for s in study.world.servers]
+        with obs.enabled() as ctx:
+            first = ProbeEngine(network).probe_all(snis[:10])
+            second = ProbeEngine(network, jobs=2).probe_all(snis[10:30])
+        assert first.stats.probes == 30
+        assert second.stats.probes == 60
+        assert sum(first.stats.reachable_by_vantage.values()) + \
+            sum(first.stats.unreachable_by_vantage.values()) == 30
+        assert ctx.metrics.snapshot()["counters"]["probe.probes"] == 90
 
 
 class TestSnapshotDeterminism:
     def test_jobs_do_not_change_metric_snapshot(self, network, study):
         snis = [s.fqdn for s in study.world.servers][:120]
-        snapshots = [
-            ProbeEngine(network, jobs=jobs).probe_all(snis)
-            .stats.registry.snapshot()
-            for jobs in (1, 4)]
+        snapshots = []
+        for jobs in (1, 4):
+            with obs.enabled() as ctx:
+                ProbeEngine(network, jobs=jobs).probe_all(snis)
+            snapshots.append(ctx.metrics.snapshot())
         assert snapshots[0] == snapshots[1]
         assert json.dumps(snapshots[0], sort_keys=True) == \
             json.dumps(snapshots[1], sort_keys=True)
@@ -404,8 +363,6 @@ class TestRunManifest:
             StudyConfig(seed=2023).artifact_digest()
         assert base.artifact_digest() != \
             replace(base, seed=7).artifact_digest()
-        assert base.artifact_digest() != StudyConfig(
-            retry=RetryPolicy(max_attempts=5)).artifact_digest()
         assert base.artifact_digest() != StudyConfig(
             trust_stores=("mozilla",)).artifact_digest()
 
@@ -448,10 +405,10 @@ class TestCLI:
 
     def test_probe_manifest_matches_probe_config(self, tmp_path, study):
         out = tmp_path / "certs.jsonl"
-        assert main(["probe", "-o", str(out), "--retries", "4"]) == 0
+        assert main(["probe", "-o", str(out), "--seed", "2023",
+                     "--trust-stores", "apple"]) == 0
         manifest = RunManifest.load(manifest_path_for(str(out)))
-        expected = StudyConfig(seed=2023,
-                               retry=RetryPolicy(max_attempts=4))
+        expected = StudyConfig(seed=2023, trust_stores=("apple",))
         assert manifest.config_digest == expected.artifact_digest()
 
     def test_trace_summary_renders(self, tmp_path, study, capsys):

@@ -1,22 +1,14 @@
-"""Tests for the parallel probe engine, retry path, and StudyConfig."""
+"""Tests for the parallel probe engine and StudyConfig."""
 
-import random
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.config import StudyConfig
 from repro.inspector.timeline import PROBE_TIME
-from repro.probing.engine import (
-    FaultInjector,
-    InjectedReset,
-    LatencyModel,
-    ProbeEngine,
-    ProbeStats,
-    RetryPolicy,
-    SlowResponse,
-    TransientFailure,
-)
+from repro.probing.engine import LatencyModel, ProbeEngine
 from repro.probing.prober import Prober
 from repro.probing.vantage import VANTAGE_POINTS
 from repro.study import get_study
@@ -38,72 +30,6 @@ def snis(study):
 @pytest.fixture(scope="module")
 def serial_subset(network, snis):
     return Prober(network).probe_all(snis)
-
-
-class TestRetryPolicy:
-    def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0,
-                             jitter=0.0)
-        rng = random.Random(0)
-        delays = [policy.backoff_delay(a, rng) for a in (1, 2, 3)]
-        assert delays == [0.1, 0.2, 0.4]
-
-    def test_jitter_bounded_and_deterministic(self):
-        policy = RetryPolicy(backoff_base=1.0, jitter=0.5)
-        a = policy.backoff_delay(1, random.Random(42))
-        b = policy.backoff_delay(1, random.Random(42))
-        assert a == b
-        assert 1.0 <= a <= 1.5
-
-    def test_rejects_zero_attempts(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-
-    def test_frozen_and_hashable(self):
-        policy = RetryPolicy()
-        with pytest.raises(AttributeError):
-            policy.max_attempts = 5
-        assert hash(policy) == hash(RetryPolicy())
-
-
-class TestFaultInjector:
-    def test_plan_deterministic_and_bounded(self, network):
-        a = FaultInjector(network, transient_rate=0.5)
-        b = FaultInjector(network, transient_rate=0.5)
-        fqdns = list(network.endpoints)[:50]
-        plans = [a.fault_plan(f, "us") for f in fqdns]
-        assert plans == [b.fault_plan(f, "us") for f in fqdns]
-        assert any(plans), "expected some endpoints to draw faults"
-        assert max(len(p) for p in plans) <= a.max_faulty_attempts
-
-    def test_faults_clear_after_plan(self, study, network):
-        spec = study.world.reachable_servers()[0]
-        injector = FaultInjector(network, transient_rate=1.0,
-                                 max_faulty_attempts=2)
-        prober = Prober(injector)
-        for _ in range(2):
-            with pytest.raises(TransientFailure):
-                prober.probe_one(spec.fqdn, VANTAGE_POINTS[0])
-        result = prober.probe_one(spec.fqdn, VANTAGE_POINTS[0])
-        assert result.reachable and result.leaf is not None
-
-    def test_fault_kinds(self, network):
-        injector = FaultInjector(network, reset_rate=1.0)
-        assert injector.fault_plan("x.example", "us")[0] == "reset"
-        slow = FaultInjector(network, slow_rate=1.0)
-        assert slow.fault_plan("x.example", "us")[0] == "slow"
-
-    def test_reset_clears_history(self, study, network):
-        spec = study.world.reachable_servers()[0]
-        injector = FaultInjector(network, transient_rate=1.0,
-                                 max_faulty_attempts=1)
-        prober = Prober(injector)
-        with pytest.raises(TransientFailure):
-            prober.probe_one(spec.fqdn, VANTAGE_POINTS[0])
-        assert prober.probe_one(spec.fqdn, VANTAGE_POINTS[0]).reachable
-        injector.reset()
-        with pytest.raises(TransientFailure):
-            prober.probe_one(spec.fqdn, VANTAGE_POINTS[0])
 
 
 class TestEngineDeterminism:
@@ -135,57 +61,6 @@ class TestEngineDeterminism:
         prints = {ProbeEngine(network, jobs=j).probe_all(snis).fingerprint()
                   for j in (1, 2, 8)}
         assert len(prints) == 1
-
-
-class TestRetryPath:
-    def test_transient_failures_recover_within_budget(self, network, snis,
-                                                      serial_subset):
-        injector = FaultInjector(network, transient_rate=0.2)
-        engine = ProbeEngine(injector, jobs=4,
-                             retry=RetryPolicy(max_attempts=3),
-                             seed=network.seed)
-        dataset = engine.probe_all(snis)
-        assert dataset.fingerprint() == serial_subset.fingerprint()
-        assert dataset.reachable_fqdns() == \
-            serial_subset.reachable_fqdns()
-        assert dataset.stats.retries > 0
-        assert dataset.stats.exhausted == 0
-        assert dataset.stats.faults["transient"] == dataset.stats.retries
-
-    def test_exhausted_budget_yields_classified_error(self, network,
-                                                      snis):
-        injector = FaultInjector(network, transient_rate=1.0,
-                                 max_faulty_attempts=5)
-        engine = ProbeEngine(injector, jobs=2,
-                             retry=RetryPolicy(max_attempts=3),
-                             seed=network.seed)
-        dataset = engine.probe_all(snis[:10])
-        for result in dataset.results:
-            assert not result.reachable
-            assert "retry budget exhausted" in result.error
-            assert "transient" in result.error
-        stats = dataset.stats
-        assert stats.exhausted == len(dataset)
-        assert stats.outcomes["exhausted_transient"] == len(dataset)
-        assert stats.attempts == 3 * len(dataset)
-
-    def test_slow_responses_count_as_timeouts(self, network, snis):
-        injector = FaultInjector(network, slow_rate=1.0,
-                                 max_faulty_attempts=1)
-        engine = ProbeEngine(injector, jobs=2, seed=network.seed)
-        dataset = engine.probe_all(snis[:10])
-        # one slow attempt per probe: 10 SNIs x 3 vantages.
-        assert dataset.stats.faults["timeout"] == len(dataset) == 30
-        assert dataset.stats.exhausted == 0
-
-    def test_mixed_fault_modes_classified(self, network, snis):
-        injector = FaultInjector(network, transient_rate=0.2,
-                                 reset_rate=0.2, slow_rate=0.2)
-        engine = ProbeEngine(injector, jobs=4, seed=network.seed)
-        dataset = engine.probe_all(snis)
-        categories = set(dataset.stats.faults)
-        assert categories <= {"transient", "reset", "timeout"}
-        assert len(categories) >= 2
 
 
 #: A SEQUENCE whose declared length runs past the end of its bytes.
@@ -288,7 +163,7 @@ class TestLatencyModel:
         dataset = engine.probe_all(snis[:30])
         # time_scale=0: latencies are recorded but never slept.
         assert sum(dataset.stats.latency_buckets.values()) == \
-            dataset.stats.attempts
+            dataset.stats.probes
         assert set(dataset.stats.latency_buckets) <= \
             {"<10ms", "<50ms", "<100ms", "<250ms", ">=250ms"}
 
@@ -307,9 +182,10 @@ class TestProbeStats:
     def test_to_json_schema(self, network, snis):
         stats = ProbeEngine(network, jobs=2).probe_all(snis[:10]).stats
         payload = stats.to_json()
-        assert {"probes", "attempts", "retries", "exhausted", "outcomes",
-                "faults", "latency_buckets", "reachable_by_vantage",
-                "unreachable_by_vantage", "wall_seconds"} <= set(payload)
+        assert set(payload) == {
+            "probes", "outcomes", "latency_buckets", "reachable_by_vantage",
+            "unreachable_by_vantage", "wall_seconds"}
+        json.dumps(payload)
 
     def test_summary_renders(self, network, snis):
         stats = ProbeEngine(network, jobs=2).probe_all(snis[:10]).stats
@@ -353,7 +229,7 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(trust_stores=("mozilla", "netscape"))
         with pytest.raises(ValueError):
-            StudyConfig(vantages=())
+            StudyConfig(trust_stores=())
 
     def test_get_study_memoizes_per_config(self, study):
         assert get_study(StudyConfig()) is study
@@ -374,3 +250,14 @@ class TestStudyConfig:
         assert store is mozilla_only.ecosystem.stores["mozilla"] or \
             len(store) <= len(study.ecosystem.union_store)
         assert study.validator().store is study.ecosystem.union_store
+
+    def test_artifact_digest_pinned_to_the_golden_baseline(self):
+        # Store keys, sweep unit keys and the baseline's config identity
+        # all hash this digest; the retired retry and vantage values are
+        # still part of its payload, at their only setting.
+        baseline = Path(__file__).resolve().parents[1] / \
+            "conformance" / "baseline.json"
+        recorded = json.loads(baseline.read_text())["artifact_digest"]
+        digest = StudyConfig(seed=2023).artifact_digest()
+        assert digest == recorded == (
+            "9568698491ac701d081a97d4851e4e108d8a14be5894b6d8483a3bfdb18269d2")

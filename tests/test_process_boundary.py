@@ -3,10 +3,8 @@
 A multi-worker sweep runs each unit in a spawned fabric worker process,
 and study stages pass between processes as pickled artifact-store
 entries; the one Study stage payload that is *not* plain JSON is the
-certificate dataset, whose live :class:`~repro.probing.engine.ProbeStats`
-is a view over lock-holding metric instruments.
-``CertificateDataset.__getstate__`` freezes it into a
-:class:`ProbeStatsSnapshot` — these tests guard that path with real
+certificate dataset, which carries its probe run's
+:class:`ProbeStatsSnapshot`.  These tests guard that path with real
 ``pickle`` round trips and an actual spawned subprocess (the same start
 method the ``SweepRunner`` cluster's worker processes use).
 """
@@ -14,9 +12,10 @@ method the ``SweepRunner`` cluster's worker processes use).
 import multiprocessing
 import pickle
 
+from repro import obs
 from repro.probing.certdataset import (CertificateDataset,
                                        ProbeStatsSnapshot)
-from repro.probing.engine import ProbeStats
+from repro.probing.engine import ProbeEngine
 
 
 def describe_certificates(dataset):
@@ -38,19 +37,6 @@ def describe_capture(dataset):
 
 
 class TestPickleFreeze:
-    def test_live_stats_freeze_to_snapshot(self, certificates):
-        # the session study probed with a live, lock-holding ProbeStats
-        assert certificates.stats is not None
-        assert not isinstance(certificates.stats, ProbeStatsSnapshot)
-        clone = pickle.loads(pickle.dumps(certificates))
-        assert isinstance(clone.stats, ProbeStatsSnapshot)
-        assert clone.stats.to_json() == certificates.stats.to_json()
-        assert clone.stats.probes == certificates.stats.probes
-        assert clone.fingerprint() == certificates.fingerprint()
-        assert clone.reachable_fqdns() == certificates.reachable_fqdns()
-        # pickling must not mutate the original in place
-        assert not isinstance(certificates.stats, ProbeStatsSnapshot)
-
     def test_snapshot_survives_repickling(self, certificates):
         once = pickle.loads(pickle.dumps(certificates))
         twice = pickle.loads(pickle.dumps(once))
@@ -65,14 +51,15 @@ class TestPickleFreeze:
         assert snapshot.reachable_by_vantage == \
             certificates.stats.reachable_by_vantage
 
-    def test_wall_time_rounds_once(self):
-        # 1.0551 renders 1.06 from the live value but 1.05 from the
-        # 3-decimal dict; both sides must render from the dict.
-        live = ProbeStats()
-        live.wall_seconds = 1.0551
-        snapshot = ProbeStatsSnapshot(live.to_json())
-        assert snapshot.summary() == live.summary()
-        assert "wall 1.05s" in live.summary().splitlines()[0]
+    def test_wall_time_rounds_once(self, network, monkeypatch):
+        # 1.0551 renders 1.06 unrounded but 1.05 from the 3-decimal
+        # value the engine stores; the summary renders the stored one.
+        monkeypatch.setattr(obs.Stopwatch, "stop", lambda _self: 1.0551)
+        stats = ProbeEngine(network).probe_all([]).stats
+        assert stats.wall_seconds == 1.055
+        assert "wall 1.05s" in stats.summary().splitlines()[0]
+        clone = pickle.loads(pickle.dumps(stats))
+        assert clone.summary() == stats.summary()
 
     def test_statless_dataset_round_trips(self, certificates):
         bare = CertificateDataset(certificates.results,

@@ -532,7 +532,7 @@ class TestFabricLeaseProperties:
 
         seeds = data.draw(st.integers(1, 3), label="seeds")
         grid = data.draw(st.sampled_from(
-            (("seeds",), ("seeds", "stores"), ("seeds", "faults"))),
+            (("seeds",), ("seeds", "stores"), ("seeds", "ml"))),
             label="grid")
         workers = data.draw(st.integers(1, 4), label="workers")
         units = expand_grid(StudyConfig(), seeds=seeds, grid=grid,

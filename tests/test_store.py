@@ -47,11 +47,8 @@ class TestArtifactStore:
         assert store.key(config, "a") != store.key(other, "a")
 
     def test_artifact_digest_tracks_semantics(self, config):
-        from repro.probing.engine import RetryPolicy
         assert config.artifact_digest() != \
             replace(config, seed=7).artifact_digest()
-        assert config.artifact_digest() != StudyConfig(
-            retry=RetryPolicy(max_attempts=5)).artifact_digest()
         assert config.artifact_digest() != StudyConfig(
             trust_stores=("mozilla",)).artifact_digest()
 
@@ -388,19 +385,16 @@ class TestCachingCLI:
                 argv.append("all")
             args = parser.parse_args(argv)
             assert args.seed == 2023
-            assert args.retries == 3
             assert args.trust_stores == "mozilla,apple,microsoft"
             assert args.cache_dir is None and args.no_cache is False
 
     def test_config_from_args_builds_full_config(self):
         from repro.cli import build_parser, config_from_args
         args = build_parser().parse_args(
-            ["report", "--seed", "7", "--retries", "5",
-             "--trust-stores", "apple,mozilla"])
+            ["report", "--seed", "7", "--trust-stores", "apple,mozilla"])
         config = config_from_args(args)
-        assert config.seed == 7
-        assert config.retry.max_attempts == 5
-        assert config.trust_stores == ("apple", "mozilla")
+        assert config == StudyConfig(seed=7,
+                                     trust_stores=("apple", "mozilla"))
 
     def test_invalid_config_exits_2(self, capsys):
         from repro.cli import main

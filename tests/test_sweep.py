@@ -21,9 +21,9 @@ from repro.store import ArtifactStore, local_spec
 from repro.store.campaign import (CAMPAIGN_FORMAT, CampaignIndex,
                                   campaign_id_for)
 from repro.study import Study
-from repro.sweep import (FAULT_ABLATION, SCALAR_BANDS, ScalarStats,
-                         SweepAggregator, SweepRunner, SweepUnit,
-                         campaign_units, expand_grid, parse_grid)
+from repro.sweep import (SCALAR_BANDS, ScalarStats, SweepAggregator,
+                         SweepRunner, SweepUnit, campaign_units,
+                         expand_grid, parse_grid)
 from repro.sweep.worker import run_unit
 
 
@@ -36,20 +36,21 @@ class TestGrid:
     def test_parse_grid_implies_seeds(self):
         assert parse_grid("seeds") == ("seeds",)
         assert parse_grid("stores") == ("seeds", "stores")
-        assert parse_grid("seeds, stores ,faults") == \
-            ("seeds", "stores", "faults")
+        assert parse_grid("seeds, stores ,ml") == \
+            ("seeds", "stores", "ml")
 
     def test_parse_grid_rejects_unknown_axes(self):
         with pytest.raises(ValueError, match="frobnicate"):
             parse_grid("seeds,frobnicate")
+        with pytest.raises(ValueError, match="faults"):
+            parse_grid("seeds,faults")
 
     def test_seed_grid_is_consecutive(self, config):
         units = expand_grid(config, seeds=3)
         assert [unit.name for unit in units] == \
             ["seed2023", "seed2024", "seed2025"]
         assert [unit.seed for unit in units] == [2023, 2024, 2025]
-        assert all(unit.stage == "full" and not unit.fault_rates
-                   for unit in units)
+        assert all(unit.stage == "full" for unit in units)
 
     def test_stores_axis_adds_single_store_ablations(self, config):
         units = expand_grid(config, seeds=1, grid="stores")
@@ -59,29 +60,33 @@ class TestGrid:
             sorted(MAJOR_STORES)
         assert all(len(unit.trust_stores) == 1 for unit in ablations)
 
-    def test_faults_axis_raises_retry_budget(self, config):
-        units = expand_grid(config, seeds=2, grid="faults")
-        faulted = [unit for unit in units if unit.fault_rates]
-        assert [unit.name for unit in faulted] == \
-            ["seed2023-faults", "seed2024-faults"]
-        assert all(unit.fault_rates == FAULT_ABLATION for unit in faulted)
-        assert all(unit.retries >= 4 for unit in faulted)
-
     def test_rejects_empty_grid(self, config):
         with pytest.raises(ValueError):
             expand_grid(config, seeds=0)
 
+    def test_unit_keys_pinned(self):
+        # Ledgers written by earlier builds are resumed by key, so the
+        # keys must not move when a knob is retired.
+        keys = [unit.key()
+                for unit in expand_grid(StudyConfig(seed=2024), seeds=2)]
+        assert keys == [
+            "1a3f1daa9ed27d23be8ae107c7740ae5fa1fe36a6d3878e85b4752cfa1b790d6",
+            "83560f9343f8da95a9175288dd0c5be3e6febb923967a5aef6ffc8715b200686",
+        ]
+
 
 class TestSweepUnit:
     def test_json_round_trip(self):
-        unit = SweepUnit(name="u", seed=7, retries=4,
-                         trust_stores=("mozilla",),
-                         fault_rates=(("transient_rate", 0.2),),
+        unit = SweepUnit(name="u", seed=7, trust_stores=("mozilla",),
                          time_scale=0.5, stage="probe")
         spec = unit.to_json()
         assert spec["key"] == unit.key()
         assert SweepUnit.from_json(spec) == unit
         json.dumps(spec)  # the spec must cross the process boundary
+        # A spec from before the retry budget was retired, at its clean
+        # values, reads back as the same unit.
+        assert SweepUnit.from_json(
+            dict(spec, retries=3, fault_rates=[])) == unit
 
     def test_key_ignores_name_and_latency_free_knobs(self):
         a = SweepUnit(name="a", seed=7)
@@ -95,20 +100,12 @@ class TestSweepUnit:
                                        stage="probe").key()
         assert base.key() != SweepUnit(name="u", seed=7,
                                        time_scale=0.1).key()
-        assert base.key() != SweepUnit(
-            name="u", seed=7,
-            fault_rates=(("transient_rate", 0.2),)).key()
         assert base.key() != SweepUnit(name="u", seed=7,
                                        trust_stores=("mozilla",)).key()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="stage"):
             SweepUnit(name="u", seed=7, stage="half")
-        with pytest.raises(ValueError, match="retries"):
-            SweepUnit(name="u", seed=7, retries=0)
-        with pytest.raises(ValueError, match="fault"):
-            SweepUnit(name="u", seed=7, retries=1,
-                      fault_rates=(("transient_rate", 0.2),))
 
 
 class TestCampaignIndex:
@@ -421,6 +418,32 @@ class TestSweepCLIErrors:
             assert "Traceback" not in err
             assert str(out / "campaign.json") in err
             assert "unit 0" in err and "seed" in err
+
+    @pytest.mark.parametrize("retired, field", [
+        ({"retries": 4}, "retries"),
+        ({"fault_rates": [["transient_rate", 0.2],
+                          ["reset_rate", 0.1]]}, "fault_rates"),
+    ])
+    def test_ledger_unit_with_retired_knobs_is_refused(self, tmp_path,
+                                                       capsys, retired,
+                                                       field):
+        # A fault-injected unit from an earlier build has its clean
+        # twin's key; reading it as that twin would skip or re-run it
+        # silently, so every ledger command refuses the ledger.
+        out = tmp_path / "campaign"
+        specs = [unit.to_json()
+                 for unit in expand_grid(StudyConfig(seed=2024), seeds=2)]
+        specs[1] = dict(specs[1], name="seed2025-faults", **retired)
+        CampaignIndex.create(out / "campaign.json", specs, "full")
+        before = (out / "campaign.json").read_bytes()
+        for argv in (["sweep", "report"], ["sweep", "resume"],
+                     ["fabric", "serve", "--port", "0"]):
+            assert main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
+            assert "unit 1" in err and repr(field) in err
+            assert (out / "campaign.json").read_bytes() == before
 
     def test_sweep_run_keeps_a_ledger_it_cannot_read(self, tmp_path,
                                                      capsys):
