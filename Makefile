@@ -19,6 +19,8 @@ test:
 # Lightweight lint: everything must byte-compile, and `print(` is banned
 # in src/repro outside the CLI (library code reports via repro.obs) and
 # in benchmarks/ helper modules (bench_*.py scripts may still print).
+# The matching primitives in src/repro/match sit below the analyses, so
+# no module there may import repro.core.
 lint:
 	$(PYTHON) -m compileall -q src/repro tests benchmarks examples tools
 	@bad=$$(grep -rn --include='*.py' '^[[:space:]]*print(' src/repro \
@@ -31,6 +33,13 @@ lint:
 	    | grep -v '^benchmarks/bench_' || true); \
 	if [ -n "$$bad" ]; then \
 	    echo "lint: bare print() in benchmarks/ helper modules:"; \
+	    echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE --include='*.py' \
+	    '^[[:space:]]*(from|import)[[:space:]]+repro\.core([^[:alnum:]_]|$$)|^[[:space:]]*from[[:space:]]+repro[[:space:]]+import.*[^[:alnum:]_]core([^[:alnum:]_]|$$)' \
+	    src/repro/match || true); \
+	if [ -n "$$bad" ]; then \
+	    echo "lint: src/repro/match imports repro.core:"; \
 	    echo "$$bad"; exit 1; \
 	fi
 	@echo "lint: ok"

@@ -6,27 +6,12 @@ checks that the qualitative findings are seed-independent (the
 server-side is pinned by the catalog and does not vary).
 """
 
-from repro.core.customization import degree_distribution, doc_vendor_all
-from repro.core.security import vulnerability_report
-from repro.core.tables import percent, render_table
+from repro.core.compare import compare_datasets, drifted
+from repro.core.tables import render_table
 from repro.inspector.dataset import InspectorDataset
 from repro.inspector.generator import WorldGenerator
-from repro.match import shared_engine
 
 ALT_SEED = 7
-
-def _client_headlines(dataset, corpus):
-    match = shared_engine().match_report(dataset, corpus)
-    degrees = degree_distribution(dataset)
-    vuln = vulnerability_report(dataset)
-    doc = list(doc_vendor_all(dataset).values())
-    return {
-        "fingerprints": dataset.fingerprint_count,
-        "match_share": match.matched_fraction,
-        "degree1": degrees["1"],
-        "vulnerable": vuln.vulnerable_fraction,
-        "vendors_with_unique": sum(1 for v in doc if v > 0) / len(doc),
-    }
 
 
 def test_seed_stability(benchmark, dataset, corpus, emit):
@@ -35,23 +20,11 @@ def test_seed_stability(benchmark, dataset, corpus, emit):
         return InspectorDataset.from_world(world)
 
     alt_dataset = benchmark.pedantic(build_alt, rounds=1, iterations=1)
-    base = _client_headlines(dataset, corpus)
-    alt = _client_headlines(alt_dataset, corpus)
-    rows = [
-        ["distinct fingerprints", base["fingerprints"],
-         alt["fingerprints"]],
-        ["library match share", percent(base["match_share"]),
-         percent(alt["match_share"])],
-        ["degree-1 share", percent(base["degree1"]),
-         percent(alt["degree1"])],
-        ["vulnerable share", percent(base["vulnerable"]),
-         percent(alt["vulnerable"])],
-        ["vendors w/ unique fp", percent(base["vendors_with_unique"]),
-         percent(alt["vendors_with_unique"])],
-    ]
+    deltas = compare_datasets(dataset, alt_dataset, corpus)
+    rows = [[delta.name, round(delta.baseline, 4),
+             round(delta.candidate, 4), delta.tolerance]
+            for delta in deltas]
     emit("ablation_seeds", render_table(
-        ["headline", f"seed 2023", f"seed {ALT_SEED}"], rows,
+        ["headline", "seed 2023", f"seed {ALT_SEED}", "tolerance"], rows,
         title="Ablation — seed stability of the client-side headlines"))
-    assert abs(base["degree1"] - alt["degree1"]) < 0.08
-    assert abs(base["vulnerable"] - alt["vulnerable"]) < 0.10
-    assert alt["match_share"] < 0.05
+    assert drifted(deltas) == []

@@ -4,13 +4,12 @@ Paper: 903 fingerprints; 23 (2.55%) match 16 known libraries (14
 curl+OpenSSL, 2 Mbed TLS); 14 of 16 unsupported as of 2020.
 """
 
-from repro.core.matching import validate_case_study
+from repro.core.matching import match_report, validate_case_study
 from repro.core.tables import percent, render_table
-from repro.match import shared_engine
 
 
 def test_section41_matching(benchmark, dataset, corpus, emit):
-    report = benchmark(shared_engine().match_report, dataset, corpus)
+    report = benchmark(match_report, dataset, corpus)
     rows = [
         ["distinct device fingerprints", report.total_fingerprints, "903"],
         ["matched fingerprints", report.matched_count, "23"],

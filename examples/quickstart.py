@@ -14,8 +14,8 @@ import sys
 
 from repro.core.customization import degree_distribution, doc_vendor_all
 from repro.core.issuers import issuer_report
+from repro.core.matching import match_report
 from repro.core.tables import percent, render_table
-from repro.match import shared_engine
 from repro.study import StudyConfig, get_study
 
 
@@ -36,7 +36,7 @@ def main(seed=2023):
           f"{len(certificates.leaf_certificates())}")
 
     # Finding 1: heterogeneity — most fingerprints are vendor-unique.
-    match = shared_engine().match_report(dataset, study.corpus)
+    match = match_report(dataset, study.corpus)
     degrees = degree_distribution(dataset)
     doc = doc_vendor_all(dataset)
     unique_only = sum(1 for v in doc.values() if v == 1.0) / len(doc)

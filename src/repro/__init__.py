@@ -7,9 +7,8 @@ alone is enough to configure and run a study (:class:`StudyConfig`,
 (:class:`ArtifactStore`), sweep it across seeds (:class:`SweepRunner`,
 :func:`expand_grid`), stream-ingest and serve it (:class:`Ingester`,
 :class:`TimelineStream`, :func:`serve_study`, :func:`run_load`), and
-match/compare fingerprints at scale (:class:`MatchEngine`,
-:class:`SimilarityIndex`, :class:`CorpusIndex`,
-:class:`FingerprintVector`).
+match/compare fingerprints at scale (:class:`SimilarityIndex`,
+:class:`CorpusIndex`, :class:`FingerprintVector`).
 Everything else is internal layout and may move between releases.
 """
 
@@ -23,8 +22,7 @@ from repro.ingest.ingester import Ingester
 from repro.ingest.loadgen import run_load
 from repro.ingest.server import serve_study
 from repro.ingest.stream import TimelineStream
-from repro.match import (CorpusIndex, FingerprintVector, MatchEngine,
-                         SimilarityIndex)
+from repro.match import CorpusIndex, FingerprintVector, SimilarityIndex
 from repro.schema import SCHEMA_VERSION
 from repro.store.artifact import ArtifactStore
 from repro.study import Study, get_study
@@ -37,7 +35,6 @@ __all__ = [
     "DEFAULT_SEED",
     "FingerprintVector",
     "Ingester",
-    "MatchEngine",
     "SCHEMA_VERSION",
     "SimilarityIndex",
     "Study",

@@ -29,7 +29,7 @@ Commands:
   text), ``diff`` (compare two exported snapshots and flag
   regressions — error counters that grew, lag gauges that rose,
   latency histograms that shifted slow);
-- ``match``     the ``repro.match`` engine: ``build-index`` (construct
+- ``match``     the ``repro.match`` indexes: ``build-index`` (construct
   the corpus + vendor similarity indexes, write the stats JSON),
   ``query`` (the exact corpus match and exact near-match libraries for
   one fingerprint id), ``stats`` (corpus and vendor index shapes);
@@ -347,17 +347,11 @@ def _write_verify_report(args, payload):
 def cmd_serve(args):
     from repro.http import serving
     from repro.ingest import run_load, serve_study
-    from repro.inspector.timeline import days
-    if args.window_days <= 0:
-        print(f"serve: --window-days must be positive, got "
-              f"{args.window_days}", file=sys.stderr)
-        return 2
     study, status = _study_or_status(args)
     if study is None:
         return status
-    server, service = serve_study(
-        study, host=args.host, port=args.port,
-        window_seconds=days(args.window_days), store=args.store)
+    server, service = serve_study(study, host=args.host, port=args.port,
+                                  store=args.store)
     print(f"serving study (seed {args.seed}) on {server.url} "
           f"— {service.ingester.records_ingested} records in "
           f"{service.ingester.stream.window_count} windows"
@@ -386,15 +380,21 @@ def _serve_until_interrupted(server):
     return 0
 
 
+def _match_index_stats(study):
+    """Shapes of the corpus and vendor indexes of ``study``."""
+    from repro.core.sharing import vendor_index
+    from repro.match import CorpusIndex
+    return {"corpus": CorpusIndex(study.corpus).stats(),
+            "vendors": vendor_index(study.dataset).stats()}
+
+
 def cmd_match_build_index(args):
     from repro.ingest import fingerprint_id
-    from repro.match import shared_engine
     study, status = _study_or_status(args)
     if study is None:
         return status
     with obs.span("match.build_index"):
-        payload = shared_engine().stats(dataset=study.dataset,
-                                        corpus=study.corpus)
+        payload = _match_index_stats(study)
         payload["fingerprint_ids"] = {
             fingerprint_id(fp): [int(fp[0]), list(fp[1]), list(fp[2])]
             for fp in sorted(study.dataset.fingerprints())}
@@ -414,7 +414,7 @@ def cmd_match_build_index(args):
 
 def cmd_match_query(args):
     from repro.ingest import fingerprint_id
-    from repro.match import shared_engine
+    from repro.match import CorpusIndex
     study, status = _study_or_status(args)
     if study is None:
         return status
@@ -428,8 +428,8 @@ def cmd_match_query(args):
         return 2
     with obs.span("match.query"):
         exact = study.corpus.match(*fp)
-        hits = shared_engine().near_matches(
-            fp, study.corpus, threshold=args.threshold, limit=args.limit)
+        hits = CorpusIndex(study.corpus).near_matches(
+            fp, threshold=args.threshold, limit=args.limit)
     version, suites, extensions = fp
     print(f"fingerprint {args.fingerprint}: TLS {int(version):#06x}, "
           f"{len(suites)} suites, {len(extensions)} extensions")
@@ -445,13 +445,11 @@ def cmd_match_query(args):
 
 
 def cmd_match_stats(args):
-    from repro.match import shared_engine
     study, status = _study_or_status(args)
     if study is None:
         return status
     with obs.span("match.stats"):
-        payload = shared_engine().stats(dataset=study.dataset,
-                                        corpus=study.corpus)
+        payload = _match_index_stats(study)
     corpus_stats = payload["corpus"]
     print(f"corpus: {corpus_stats['entries']} entries, "
           f"{corpus_stats['distinct_keys']} distinct keys "
@@ -1129,10 +1127,6 @@ def build_parser():
     p_serve.add_argument("--port", type=int, default=8437,
                          help="bind port; 0 picks an ephemeral port "
                               "(default %(default)s)")
-    p_serve.add_argument("--window-days", type=int, default=28,
-                         dest="window_days",
-                         help="stream window width in capture days "
-                              "(default %(default)s)")
     p_serve.add_argument("--smoke", action="store_true",
                          help="run the built-in load mix against the "
                               "warm server, print the summary, exit")
@@ -1144,7 +1138,7 @@ def build_parser():
 
     p_match = sub.add_parser(
         "match",
-        help="the repro.match engine: build indexes, query near "
+        help="the repro.match indexes: build them, query near "
              "matches, inspect index stats")
     match_sub = p_match.add_subparsers(dest="match_command",
                                        required=True)

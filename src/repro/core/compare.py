@@ -8,8 +8,8 @@ metrics and their deltas, flagging any that moved outside a tolerance.
 from dataclasses import dataclass
 
 from repro.core.customization import degree_distribution, doc_vendor_all
+from repro.core.matching import match_report
 from repro.core.security import vulnerability_report
-from repro.match import shared_engine
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class Headline:
 
 def client_headlines(dataset, corpus):
     """The headline client-side metrics with their stability tolerances."""
-    match = shared_engine().match_report(dataset, corpus)
+    match = match_report(dataset, corpus)
     degrees = degree_distribution(dataset)
     vulnerability = vulnerability_report(dataset)
     doc = list(doc_vendor_all(dataset).values())

@@ -6,9 +6,9 @@ many fingerprints match (23 of 903, 2.55%), how many distinct libraries
 they resolve to (16: 14 curl+OpenSSL, 2 Mbed TLS), and how many of those
 libraries were already unsupported in 2020 (14 of 16).
 
-The analysis itself lives on :class:`repro.match.MatchEngine`
-(``repro.match.shared_engine().match_report``); this module keeps the
-:class:`MatchReport` result type and the case-study helper.
+Exact corpus matches resolve through ``LibraryCorpus.match``, which
+maps each fingerprint key to its highest library version once, when the
+corpus is built.
 """
 
 from dataclasses import dataclass, field
@@ -55,11 +55,27 @@ class MatchReport:
         return sum(self.device_counts.get(fp, 0) for fp in self.matched)
 
 
+def match_report(dataset, corpus):
+    """The Section 4.1 analysis (see :class:`MatchReport`)."""
+    fingerprints = dataset.fingerprints()
+    report = MatchReport(total_fingerprints=len(fingerprints))
+    for fp in fingerprints:
+        library = corpus.match(*fp)
+        if library is not None:
+            report.matched[fp] = library
+            report.device_counts[fp] = len(dataset.fingerprint_devices(fp))
+    return report
+
+
 def validate_case_study(dataset, corpus, vendor):
     """Fingerprinting validation for one vendor (the Wyze/Enphase case).
 
     Returns the matched library names observed for devices of ``vendor``,
     which can be checked against the vendor's open-source disclosures.
     """
-    from repro.match.engine import shared_engine
-    return shared_engine().validate_case_study(dataset, corpus, vendor)
+    matches = set()
+    for fp in dataset.vendor_fingerprints(vendor):
+        library = corpus.match(*fp)
+        if library is not None:
+            matches.add(library.full_name)
+    return sorted(matches)

@@ -32,6 +32,7 @@ from repro.core import (
     geo,
     issuers,
     labcompare,
+    matching,
     params,
     preferences,
     security,
@@ -40,7 +41,6 @@ from repro.core import (
     slds,
 )
 from repro.inspector.timeline import PROBE_TIME
-from repro.match import shared_engine
 from repro.store.scheduler import AnalysisScheduler, AnalysisSpec
 
 
@@ -59,13 +59,10 @@ def _ml_attribution(resources):
                                resources["config"])
 
 #: Section 4 + Appendix B (client-side) analyses, in paper order.
-#: Matching/similarity nodes run on the process-wide
-#: :class:`~repro.match.MatchEngine` (``shared_engine()``).
 CLIENT_ANALYSES = (
     AnalysisSpec(
         "matching", inputs=("dataset", "corpus"),
-        fn=lambda r: shared_engine().match_report(r["dataset"],
-                                                  r["corpus"])),
+        fn=lambda r: matching.match_report(r["dataset"], r["corpus"])),
     AnalysisSpec(
         "degree_distribution", inputs=("dataset",),
         fn=lambda r: customization.degree_distribution(r["dataset"])),

@@ -11,27 +11,34 @@ Two analyses explain why non-standard fingerprints recur across vendors:
   when talking to that server — reveal per-application TLS stacks; when
   the devices span multiple vendors, the application is a shared SDK.
 
-Both analyses execute on :class:`repro.match.MatchEngine`; this module
-keeps the result types (:class:`ServerFingerprintTie`,
-:func:`similarity_bands`) and free functions that delegate to the
-process engine.  Plain-set Jaccard lives at
+Table 4 runs on :class:`repro.match.SimilarityIndex` (inverted-index
+pruning, exact rescoring); plain-set Jaccard lives at
 :func:`repro.match.set_jaccard`.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
+
+from repro.core.security import fingerprint_vulnerable_components
+from repro.match.index import SimilarityIndex
+from repro.x509.names import second_level_domain
+
+
+def vendor_index(dataset):
+    """The :class:`SimilarityIndex` of every vendor's fingerprint set."""
+    index = SimilarityIndex()
+    for vendor in dataset.vendor_names():
+        index.add(vendor, dataset.vendor_fingerprints(vendor))
+    return index
 
 
 def vendor_similarity_pairs(dataset, threshold=0.2):
     """Table 4 — vendor pairs with Jaccard similarity ≥ ``threshold``.
 
-    Returns a list of ``(similarity, vendor_a, vendor_b)`` sorted by
-    similarity, descending.  Delegates to the process
-    :class:`repro.match.MatchEngine` (inverted-index pruning, exact
-    rescoring).
+    Returns ``[(similarity, vendor_a, vendor_b), ...]`` sorted by
+    ``(-similarity, vendor_a, vendor_b)``.
     """
-    from repro.match.engine import shared_engine
-    return shared_engine().vendor_similarity_pairs(dataset,
-                                                   threshold=threshold)
+    return vendor_index(dataset).all_pairs(threshold)
 
 
 def similarity_bands(pairs):
@@ -74,9 +81,48 @@ def server_specific_fingerprints(dataset, corpus=None):
 
     Returns ``(fraction_of_snis_tied, ties)`` where ``ties`` covers ties
     involving devices of multiple vendors and at least two devices
-    (Table 5's filtering), aggregated per {SLD, fingerprint}.  The
-    algorithm body lives on :class:`repro.match.MatchEngine`.
+    (Table 5's filtering), aggregated per {SLD, fingerprint}.
     """
-    from repro.match.engine import shared_engine
-    return shared_engine().server_specific_fingerprints(dataset,
-                                                        corpus=corpus)
+    # For each (device, fp): the set of SLDs it was seen toward.
+    slds_by_device_fp = defaultdict(set)
+    for record in dataset.records:
+        if record.sni:
+            slds_by_device_fp[(record.device_id, record.fingerprint())].add(
+                second_level_domain(record.sni))
+    tied_snis = set()
+    # (sld, fp) -> (set of fqdns, set of devices)
+    aggregates = defaultdict(lambda: (set(), set()))
+    total_snis = 0
+    for sni in dataset.snis():
+        total_snis += 1
+        sld = second_level_domain(sni)
+        for fp in dataset.sni_fingerprints(sni):
+            if corpus is not None and corpus.match(*fp) is not None:
+                continue
+            devices = {d for d, f in dataset.sni_device_fingerprints(sni)
+                       if f == fp}
+            if not devices:
+                continue
+            # Server-specific: each such device uses fp only toward this
+            # SLD, and multiple devices share the behaviour.
+            if len(devices) >= 2 and all(
+                    slds_by_device_fp[(d, fp)] == {sld} for d in devices):
+                tied_snis.add(sni)
+                fqdns, all_devices = aggregates[(sld, fp)]
+                fqdns.add(sni)
+                all_devices.update(devices)
+    ties = []
+    for (sld, fp), (fqdns, devices) in aggregates.items():
+        if len(devices) < 2:
+            continue  # exclude single-device outliers (paper's rule)
+        vendors = tuple(sorted({dataset.device_vendor(d) for d in devices}))
+        if len(vendors) < 2:
+            continue  # Table 5 reports cross-vendor ties
+        ties.append(ServerFingerprintTie(
+            sld=sld, fingerprint=fp, fqdn_count=len(fqdns),
+            device_count=len(devices), vendors=vendors,
+            vulnerable_components=tuple(
+                fingerprint_vulnerable_components(fp))))
+    ties.sort(key=lambda tie: (-tie.device_count, tie.sld))
+    fraction = len(tied_snis) / max(1, total_snis)
+    return fraction, ties

@@ -9,10 +9,6 @@ runs the served analyses (:mod:`repro.ingest.snapshots`) over the grown
 dataset, so once the stream is absorbed every served number equals the
 batch report's by construction.
 
-The dataset stays private to its ingester: it grows, and
-``MatchEngine.vendor_index`` caches per dataset object, so sharing it
-would let that cache answer for a past window.
-
 Every ``compact_every`` windows (and at end-of-stream) the ingester
 *compacts*: the dataset and the window cursor are checkpointed into the
 study's :class:`~repro.store.artifact.ArtifactStore` under the

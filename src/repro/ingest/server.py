@@ -321,8 +321,8 @@ def make_server(service, host="127.0.0.1", port=0):
     return http.make_server(service.app, service.error, host, port)
 
 
-def serve_study(study, host="127.0.0.1", port=0, window_seconds=None,
-                store=None, compact_every=4, clock=time.perf_counter):
+def serve_study(study, host="127.0.0.1", port=0, store=None,
+                clock=time.perf_counter):
     """Warm a query service over ``study`` and bind an HTTP server.
 
     Returns ``(server, service)``; the caller runs the server, with
@@ -334,12 +334,8 @@ def serve_study(study, host="127.0.0.1", port=0, window_seconds=None,
     scrape endpoint with an empty snapshot.
     """
     from repro.ingest.ingester import Ingester
-    from repro.ingest.stream import DEFAULT_WINDOW_SECONDS
     obs.ensure_enabled()
-    if window_seconds is None:
-        window_seconds = DEFAULT_WINDOW_SECONDS
-    ingester = Ingester(study, window_seconds=window_seconds, store=store,
-                        compact_every=compact_every)
+    ingester = Ingester(study, store=store)
     service = QueryService(study, ingester, clock=clock).warm()
     service.telemetry.update_ingest(ingester)
     return make_server(service, host=host, port=port), service

@@ -13,7 +13,7 @@ from collections import Counter
 
 from repro.core import customization
 from repro.core.issuers import issuer_report
-from repro.match import shared_engine
+from repro.core.matching import match_report
 from repro.verify.canonical import digest
 
 #: the served analyses, in paper order (keys of :func:`served_snapshots`).
@@ -66,7 +66,7 @@ def doc(dataset):
 
 def match_rate(dataset, corpus):
     """The Section 4.1 corpus match rate and what matched."""
-    report = shared_engine().match_report(dataset, corpus)
+    report = match_report(dataset, corpus)
     return {
         "total_fingerprints": report.total_fingerprints,
         "matched_count": report.matched_count,

@@ -12,12 +12,7 @@ from collections import defaultdict
 
 
 class InspectorDataset:
-    """An append-only view over devices, users, and ClientHello records.
-
-    A dataset that grows must not be handed to code that caches per
-    dataset object (``MatchEngine.vendor_index``): the cache would keep
-    answering for the records seen when it was built.
-    """
+    """An append-only view over devices, users, and ClientHello records."""
 
     def __init__(self, records, devices=None, users=None):
         self.records = []

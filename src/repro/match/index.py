@@ -1,6 +1,6 @@
 """Similarity and corpus indexes: inverted-index pruning + exact rescoring.
 
-Two index structures back the :class:`~repro.match.engine.MatchEngine`:
+Two index structures back the Section 4 matching analyses:
 
 - :class:`SimilarityIndex` — a set-similarity index over arbitrary
   items.  Candidate pairs come from an *element inverted index* (items

@@ -98,11 +98,8 @@ class Endpoint:
 class SimulatedNetwork:
     """All endpoints of the world, with a handshake-level ``connect``."""
 
-    def __init__(self, world, ecosystem=None, seed=None, config=None):
-        if config is not None and seed is None:
-            seed = config.seed
-        self.config = config
-        self.seed = world.seed if seed is None else seed
+    def __init__(self, world, ecosystem=None):
+        self.seed = world.seed
         self.world = world
         self.ecosystem = ecosystem or AuthorityEcosystem(seed=self.seed)
         self.ct_logs = CTLogSet()

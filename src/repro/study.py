@@ -82,18 +82,6 @@ class Study:
         self.store = store
         return self
 
-    def adopt_certificates(self, certificates):
-        """Use a pre-built certificate dataset instead of probing.
-
-        A seam for sweep units and tests: a unit with a non-zero probe
-        ``time_scale`` probes through its own latency-modelled
-        :class:`~repro.probing.engine.ProbeEngine` and hands the result
-        to a *fresh* ``Study`` here.  Never call this on the shared
-        memoized study — adopt only on instances you own.
-        """
-        self._certificates = certificates
-        return self
-
     def _cached(self, stage):
         if self.store is None:
             return MISS
@@ -160,20 +148,31 @@ class Study:
     def certificates(self):
         """The three-vantage certificate dataset (Section 5).
 
-        Probed by a one-worker :class:`~repro.probing.engine.ProbeEngine`.
-        Store-backed: with an attached artifact store, a cached dataset
-        is reused without building the network or probing.
+        Probed by a one-worker :class:`~repro.probing.engine.ProbeEngine`
+        (see :meth:`probe_with`).
         """
         if self._certificates is None:
-            with obs.span("study.certificates") as span:
-                certificates = self._cached("certificates")
-                if certificates is MISS:
-                    snis = [spec.fqdn for spec in self.world.servers]
-                    certificates = ProbeEngine(self.network).probe_all(snis)
-                    self._store_put("certificates", certificates)
-                self._certificates = certificates
-                span.incr("snis", len(certificates))
+            self.probe_with(ProbeEngine)
         return self._certificates
+
+    def probe_with(self, make_engine):
+        """:attr:`certificates`, probed through ``make_engine(network)``.
+
+        Store-backed: with an attached artifact store, a cached dataset
+        is reused without building the network or probing, and a probed
+        one is stored.  Every engine probes to the same bytes (workers
+        and latency sleeps change only wall-clock), so one ``certificates``
+        entry serves them all.
+        """
+        with obs.span("study.certificates") as span:
+            certificates = self._cached("certificates")
+            if certificates is MISS:
+                snis = [spec.fqdn for spec in self.world.servers]
+                certificates = make_engine(self.network).probe_all(snis)
+                self._store_put("certificates", certificates)
+            self._certificates = certificates
+            span.incr("snis", len(certificates))
+        return certificates
 
     @property
     def trust_store(self):

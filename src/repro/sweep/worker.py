@@ -13,9 +13,10 @@ unit.  It is deliberately top-level and JSON-in/JSON-out:
   analysis objects out.
 
 Each worker builds its own :class:`~repro.study.Study` (never the
-memoized ``get_study`` — a unit that adopts its own probe run must not
-pollute a shared memo), attaches the campaign's shared artifact store
-when one is configured — local directory or remote HTTP backend,
+memoized ``get_study`` — a unit that probes through its own engine
+must not pollute a shared memo), attaches the campaign's shared
+artifact store when one is configured — local directory or remote
+HTTP backend,
 resolved from the payload's store-backend spec by
 :func:`repro.store.backend.store_from_spec`
 (warming it for every later unit and re-run), and runs under its own
@@ -43,17 +44,17 @@ from repro.verify.canonical import digest
 
 
 def _probe_via_engine(study, unit):
-    """Probe under the unit's latency time scale, then adopt.
+    """Probe under the unit's latency time scale unless the store has it.
 
     The modelled round-trip sleeps change only wall-clock, so the
-    adopted dataset is byte-identical to the study's own probing.
+    dataset is byte-identical to the study's own probing and shares its
+    ``certificates`` store entry.
     """
     from repro.probing.engine import LatencyModel, ProbeEngine
-    engine = ProbeEngine(study.network,
-                         latency=LatencyModel(seed=study.config.seed),
-                         time_scale=unit.time_scale)
-    snis = [spec.fqdn for spec in study.world.servers]
-    return study.adopt_certificates(engine.probe_all(snis))
+    return study.probe_with(
+        lambda network: ProbeEngine(
+            network, latency=LatencyModel(seed=study.config.seed),
+            time_scale=unit.time_scale))
 
 
 def _combined_digest(node_digests):

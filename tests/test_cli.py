@@ -92,17 +92,6 @@ class TestCommands:
         text = capsys.readouterr().out
         assert "no revocation path" in text
 
-    @pytest.mark.parametrize("days", ["0", "-3"])
-    def test_serve_rejects_non_positive_window(self, days, capsys,
-                                               monkeypatch):
-        def no_study(config):
-            raise AssertionError("serve built a study")
-        monkeypatch.setattr("repro.cli.get_study", no_study)
-        assert main(["serve", "--window-days", days, "--port", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"serve: --window-days must be positive, " \
-                      f"got {days}\n"
-
 
 class TestMatchCommands:
     def test_build_index_writes_json(self, tmp_path, study, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import matching, security
 from repro.inspector.dataset import InspectorDataset
-from repro.match import shared_engine
 from repro.tlslib.ciphersuites import SecurityLevel
 from repro.tlslib.versions import TLSVersion
 from tests.conftest import make_record
@@ -67,7 +66,7 @@ class TestVulnerabilityReport:
 
 class TestMatching:
     def test_mini_dataset_no_matches(self, mini_dataset, corpus):
-        report = shared_engine().match_report(mini_dataset, corpus)
+        report = matching.match_report(mini_dataset, corpus)
         assert report.matched_count == 0
         assert report.matched_fraction == 0.0
 
@@ -79,7 +78,7 @@ class TestMatching:
                              suites=library.ciphersuites,
                              extensions=library.extensions)
         ds = InspectorDataset([record])
-        report = shared_engine().match_report(ds, corpus)
+        report = matching.match_report(ds, corpus)
         assert report.matched_count == 1
         assert report.matched_devices() == 1
         [library_match] = report.matched.values()
@@ -92,7 +91,7 @@ class TestMatching:
         assert any("1.0.2u" in name for name in matches)
 
     def test_full_dataset_unsupported_dominates(self, dataset, corpus):
-        report = shared_engine().match_report(dataset, corpus)
+        report = matching.match_report(dataset, corpus)
         assert report.matched_count > 0
         assert len(report.unsupported_libraries()) >= \
             0.8 * len(report.matched_libraries())

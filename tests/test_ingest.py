@@ -157,7 +157,7 @@ class TestIngesterResume:
         sparse = Study(StudyConfig())
         sparse._dataset = InspectorDataset(
             [make_record(timestamp=CAPTURE_START + 5)])
-        sparse.adopt_certificates(study.certificates)
+        sparse._certificates = study.certificates
         store = ArtifactStore(tmp_path)
         ingester = Ingester(sparse, store=store, compact_every=2).run()
         assert ingester.finished

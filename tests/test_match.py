@@ -1,4 +1,4 @@
-"""The ``repro.match`` core: bitsets, indexes, and the engine.
+"""The ``repro.match`` core: bitsets, indexes, and the Section 4 analyses.
 
 Two contracts are pinned here:
 
@@ -9,7 +9,7 @@ Two contracts are pinned here:
   oracle in this file returns — seeded fuzz for
   ``SimilarityIndex.query``/``all_pairs``, the linear highest-version
   scan for ``LibraryCorpus.match``, and all-pairs set Jaccard for
-  ``MatchEngine.vendor_similarity_pairs``.
+  ``sharing.vendor_similarity_pairs``.
 """
 
 import random
@@ -17,15 +17,16 @@ from itertools import combinations
 
 import pytest
 
-from repro.core import sharing
+from repro.core import matching, sharing
+from repro.inspector.dataset import InspectorDataset
 from repro.libraries.base import version_sort_key
 from repro.match import (CorpusIndex, FeatureSpace, FingerprintVector,
-                         MatchEngine, SimilarityIndex,
-                         fingerprint_tokens, set_jaccard, shared_engine)
+                         SimilarityIndex, fingerprint_tokens, set_jaccard)
 from repro.match.synth import (random_universe, scaled_fingerprints,
                                scaled_vendor_sets)
 from repro.match.vector import _popcount_compat, popcount
 from repro.verify.canonical import digest
+from tests.conftest import make_record
 
 
 def brute_force_pairs(sets, threshold):
@@ -245,11 +246,11 @@ class TestCorpusIndex:
 
 
 class TestEngineEquivalence:
-    """The one engine against the brute-force oracles above."""
+    """The Section 4 analyses against the brute-force oracles above."""
 
     def test_match_report_identical(self, dataset, corpus,
                                     linear_corpus):
-        report = MatchEngine().match_report(dataset, corpus)
+        report = matching.match_report(dataset, corpus)
         expected = {}
         for fp in dataset.fingerprints():
             library = linear_corpus.match(*fp)
@@ -262,7 +263,7 @@ class TestEngineEquivalence:
 
     def test_vendor_similarity_pairs_byte_identical(self, dataset):
         # Canonical digests equal, not just ==.
-        pairs = MatchEngine().vendor_similarity_pairs(dataset)
+        pairs = sharing.vendor_similarity_pairs(dataset)
         expected = brute_force_pairs(
             {vendor: dataset.vendor_fingerprints(vendor)
              for vendor in dataset.vendor_names()}, 0.2)
@@ -274,26 +275,32 @@ class TestEngineEquivalence:
                                                     corpus,
                                                     linear_corpus):
         # The corpus-match exclusion agrees with the linear oracle.
-        result = MatchEngine().server_specific_fingerprints(dataset,
-                                                            corpus)
-        oracle = MatchEngine().server_specific_fingerprints(
-            dataset, linear_corpus)
+        result = sharing.server_specific_fingerprints(dataset, corpus)
+        oracle = sharing.server_specific_fingerprints(dataset,
+                                                      linear_corpus)
         assert result == oracle
         assert result[1]
 
     def test_scaled_world_pairs_identical(self, dataset):
-        # 3x world: the engine's pruned pairs still equal brute force.
+        # 3x world: the pruned pairs still equal brute force.
         world = scaled_vendor_sets(dataset, 3)
-        pairs = MatchEngine().vendor_similarity_pairs(VendorWorld(world))
+        pairs = sharing.vendor_similarity_pairs(VendorWorld(world))
         assert pairs == brute_force_pairs(world, 0.2)
         assert len(pairs) == 3 * 28
 
-    def test_engine_index_caches_reused(self, dataset, corpus):
-        engine = MatchEngine()
-        assert engine.corpus_index(corpus) is engine.corpus_index(corpus)
-        assert engine.vendor_index(dataset) is engine.vendor_index(
-            dataset)
-        assert shared_engine() is shared_engine()
+    def test_pairs_follow_a_grown_dataset(self):
+        # Two one-device vendors share nothing; then Bolt gains a device
+        # with Acme's fingerprint, and the pairs answer for the records
+        # the dataset holds now.
+        grown = InspectorDataset([
+            make_record(device="dev-a1", vendor="Acme"),
+            make_record(device="dev-b1", vendor="Bolt",
+                        suites=(0x002F, 0x0035)),
+        ])
+        assert sharing.vendor_similarity_pairs(grown) == []
+        grown.extend([make_record(device="dev-b2", vendor="Bolt")])
+        assert sharing.vendor_similarity_pairs(grown) == [
+            (0.5, "Acme", "Bolt")]
 
 
 class TestDeprecations:
@@ -301,7 +308,7 @@ class TestDeprecations:
                                                recwarn):
         sharing.vendor_similarity_pairs(dataset)
         sharing.server_specific_fingerprints(dataset, corpus)
-        shared_engine().match_report(dataset, corpus)
+        matching.match_report(dataset, corpus)
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 

@@ -14,7 +14,6 @@ PUBLIC_SURFACE = {
     "DEFAULT_SEED",
     "FingerprintVector",
     "Ingester",
-    "MatchEngine",
     "SCHEMA_VERSION",
     "SimilarityIndex",
     "Study",

@@ -608,3 +608,20 @@ class TestWarmUnit:
         assert "corpus" in warm["cache"]["hits"]
         assert warm["node_digests"][stage] == cold["node_digests"][stage]
         assert warm["config_digest"] == cold["config_digest"]
+
+    def test_time_scaled_probe_unit_reads_the_store(self, tmp_path):
+        # A unit that probes under the latency model stores what it
+        # probed; its re-run reads the store and neither builds the
+        # world nor probes.
+        unit = SweepUnit(name="scaled", seed=2023, time_scale=0.001,
+                         stage="probe")
+        payload = {"unit": unit.to_json(),
+                   "store": local_spec(tmp_path / "cache")}
+        cold = run_unit(payload)
+        assert "probe.all" in cold["stage_timings"]
+        assert "certificates" in cold["cache"]["writes"]
+        warm = run_unit(payload)
+        assert "certificates" in warm["cache"]["hits"]
+        assert "study.world" not in warm["stage_timings"]
+        assert "probe.all" not in warm["stage_timings"]
+        assert warm["config_digest"] == cold["config_digest"]

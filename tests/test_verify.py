@@ -364,10 +364,11 @@ class TestInvariants:
         # Drop every vantage's result for one dead SNI: only the count
         # of contacted SNIs can see it.
         dropped = certificates.unreachable_fqdns()[0]
-        partial = Study(study.config).adopt_certificates(
-            CertificateDataset([result for result in certificates.results
-                                if result.fqdn != dropped],
-                               probed_at=certificates.probed_at))
+        partial = Study(study.config)
+        partial._certificates = CertificateDataset(
+            [result for result in certificates.results
+             if result.fqdn != dropped],
+            probed_at=certificates.probed_at)
         check = sni_count(partial)
         assert not check["ok"]
         assert check["observed"] == [len(certificates.reachable_fqdns()),
