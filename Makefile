@@ -121,11 +121,10 @@ examples:
 	PYTHONPATH=src $(PYTHON) examples/smart_tv_case_study.py
 	PYTHONPATH=src $(PYTHON) examples/acme_migration.py Tuya
 
+# Removes only what builds and runs leave behind: the benchmark tables
+# (benchmarks/results) and the BENCH_*.json gate baselines are tracked.
 clean:
-	rm -rf benchmarks/results .pytest_cache .hypothesis study_report.md \
-	       figure_data capture.jsonl certificates.jsonl BENCH_probe.json \
-	       BENCH_obs.json BENCH_store.json BENCH_sweep.json \
-	       BENCH_serve.json BENCH_match.json BENCH_fabric.json \
-	       BENCH_ml.json ml_model.json ml_eval.json htmlcov .coverage \
-	       trace.jsonl *.manifest.json .repro-cache sweep_out \
-	       fabric_out bench_fresh
+	rm -rf .pytest_cache .hypothesis study_report.md figure_data \
+	       capture.jsonl certificates.jsonl ml_model.json ml_eval.json \
+	       htmlcov .coverage trace.jsonl *.manifest.json .repro-cache \
+	       sweep_out fabric_out bench_fresh

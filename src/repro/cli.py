@@ -90,16 +90,11 @@ from repro import obs
 from repro.config import MAJOR_STORES
 from repro.obs.manifest import RunManifest, manifest_path_for
 from repro.study import DEFAULT_SEED, StudyConfig, get_study
+from repro.verify.baseline import DEFAULT_BASELINE, DEFAULT_ML_BASELINE
 
 #: cache directory used when --cache-dir is absent ($REPRO_CACHE_DIR
 #: overrides; caching stays off when neither is set).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-#: the committed golden baseline `repro verify check` compares against.
-DEFAULT_BASELINE = "conformance/baseline.json"
-
-#: the committed ML eval-report baseline `repro verify ml` checks.
-DEFAULT_ML_BASELINE = "conformance/ml_baseline.json"
 
 #: default paths for the `repro ml` model and eval-report artifacts.
 DEFAULT_ML_MODEL = "ml_model.json"

@@ -4,25 +4,29 @@
 results — the programmatic equivalent of regenerating all tables and
 figures.  Examples and the integration tests drive this.
 
-Since the ``repro.store`` refactor the hand-ordered call sequence is a
-*declarative registry*: :data:`CLIENT_ANALYSES` and
-:data:`SERVER_ANALYSES` list one :class:`~repro.store.scheduler.AnalysisSpec`
-per analysis (name, inputs, function), declared in dependency order,
-and an :class:`~repro.store.scheduler.AnalysisScheduler` executes the
-registry in that order (the output dict keeps it, and every node is a
-pure function of its declared inputs).
+Each side is a registry (:data:`CLIENT_ANALYSES`,
+:data:`SERVER_ANALYSES`) of :class:`AnalysisNode` entries in paper
+order, and one loop runs a registry in that order.  A node's function
+takes ``(study, results)``: the study's lazily built artifacts and the
+results of the nodes before it.  Every node is a pure function of those,
+so the output — its values and its key order — is fixed by the registry
+alone.
 
-When the study carries an :class:`~repro.store.artifact.ArtifactStore`
-(``study.attach_store(...)``, or the CLI's ``--cache-dir``), every node
-consults the store before computing, so a warm re-run touches neither
-the world generator nor the prober and finishes near-instantly.
+Each node's value goes through :meth:`~repro.study.Study.get_or_compute`
+under the stage name ``analysis.<side>.<name>``: with an artifact store
+attached (``study.attach_store(...)``, or the CLI's ``--cache-dir``) a
+cached node is read back without computing, and a fully cached run
+builds no world, network, capture or certificates.
 
-Every analysis still runs inside its own ``repro.obs`` span
-(``analysis.client.<name>`` / ``analysis.server.<name>``), so a traced
-run (``repro report --trace trace.jsonl``) shows exactly where the
-pipeline's time goes.  With observability disabled (the default) the
-spans are no-ops.
+A computed node runs inside its own ``repro.obs`` span
+(``analysis.client.<name>`` / ``analysis.server.<name>``; ``survey``
+runs under ``validate.chain``), and the first node that reads a study
+artifact builds it inside that span, so a traced run (``repro report
+--trace trace.jsonl``) shows where the pipeline's time goes.  With
+observability disabled (the default) the spans are no-ops.
 """
+
+from dataclasses import dataclass
 
 from repro import obs
 from repro.core import (
@@ -41,217 +45,216 @@ from repro.core import (
     slds,
 )
 from repro.inspector.timeline import PROBE_TIME
-from repro.store.scheduler import AnalysisScheduler, AnalysisSpec
 
 
-def _ml_attribution(resources):
-    """Learned-attribution eval payload (ROADMAP item 4).
+@dataclass(frozen=True)
+class AnalysisNode:
+    """One analysis: ``fn(study, results)`` returns its packed value.
+
+    With one ``provides`` key (by default the node's name) the packed
+    value is the result itself; with several it is a tuple aligned with
+    ``provides``.  ``span`` replaces the ``analysis.<side>.<name>`` span
+    name, and ``tally(span, packed)`` adds span counters.
+    """
+
+    name: str
+    fn: object
+    provides: tuple = ()
+    span: str = None
+    tally: object = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "provides",
+                           tuple(self.provides) or (self.name,))
+
+
+def _ml_attribution(study, _results):
+    """Learned-attribution eval payload.
 
     Deferred import: ``repro.ml`` pulls in numpy, which ``import
     repro`` (and every stdlib-only pipeline node) must not.  Training
     is memoized per config inside ``repro.ml``, so the node, the
     figure exporter, and the CLI share one run per process.
     """
-    from repro.ml import evaluate_components
-    return evaluate_components(resources["dataset"],
-                               resources["corpus"],
-                               resources["world"],
-                               resources["config"])
+    from repro.ml import evaluate_study
+    return evaluate_study(study)
+
+
+# Node functions below take ``(s, r)``: the study and the results of the
+# nodes before them.
 
 #: Section 4 + Appendix B (client-side) analyses, in paper order.
 CLIENT_ANALYSES = (
-    AnalysisSpec(
-        "matching", inputs=("dataset", "corpus"),
-        fn=lambda r: matching.match_report(r["dataset"], r["corpus"])),
-    AnalysisSpec(
-        "degree_distribution", inputs=("dataset",),
-        fn=lambda r: customization.degree_distribution(r["dataset"])),
-    AnalysisSpec(
-        "doc_vendor", inputs=("dataset",),
-        fn=lambda r: customization.doc_vendor_all(r["dataset"])),
-    AnalysisSpec(
-        "doc_device", inputs=("dataset",),
-        fn=lambda r: customization.doc_device_all(r["dataset"])),
-    AnalysisSpec(
-        "heterogeneity", inputs=("dataset",),
-        fn=lambda r: customization.top_vendor_heterogeneity(
-            r["dataset"])),
-    AnalysisSpec(
-        "vulnerability", inputs=("dataset",),
-        fn=lambda r: security.vulnerability_report(r["dataset"])),
-    AnalysisSpec(
-        "jaccard", inputs=("dataset",), provides=("jaccard_pairs",),
-        fn=lambda r: sharing.vendor_similarity_pairs(r["dataset"])),
-    AnalysisSpec(
-        "server_proxy", inputs=("dataset", "corpus"),
-        provides=("server_tie_fraction", "server_ties"),
-        fn=lambda r: sharing.server_specific_fingerprints(r["dataset"],
-                                                          r["corpus"])),
-    AnalysisSpec(
-        "semantics", inputs=("dataset", "corpus"),
-        provides=("semantic_summary",),
-        fn=lambda r: semantics.semantic_summary(
-            semantics.semantic_fingerprinting(r["dataset"],
-                                              r["corpus"]))),
-    AnalysisSpec(
-        "versions", inputs=("dataset",),
-        fn=lambda r: params.version_proposals(r["dataset"])),
-    AnalysisSpec(
-        "fallback", inputs=("dataset",),
-        fn=lambda r: params.fallback_scsv_usage(r["dataset"])),
-    AnalysisSpec(
-        "ocsp", inputs=("dataset",),
-        fn=lambda r: params.ocsp_usage(r["dataset"])),
-    AnalysisSpec(
-        "grease", inputs=("dataset",),
-        fn=lambda r: params.grease_usage(r["dataset"])),
-    AnalysisSpec(
-        "lowest_vulnerable_index", inputs=("dataset",),
-        fn=lambda r: preferences.lowest_vulnerable_index(r["dataset"])),
-    AnalysisSpec(
-        "clean_vendors", inputs=("dataset",),
-        fn=lambda r: preferences.vendors_without_vulnerable(
-            r["dataset"])),
-    AnalysisSpec(
-        "preferred_components", inputs=("dataset",),
-        fn=lambda r: preferences.preferred_components(r["dataset"])),
-    AnalysisSpec(
-        "ml_attribution",
-        inputs=("dataset", "corpus", "world", "config"),
-        fn=_ml_attribution),
+    AnalysisNode(
+        "matching",
+        lambda s, r: matching.match_report(s.dataset, s.corpus)),
+    AnalysisNode(
+        "degree_distribution",
+        lambda s, r: customization.degree_distribution(s.dataset)),
+    AnalysisNode(
+        "doc_vendor",
+        lambda s, r: customization.doc_vendor_all(s.dataset)),
+    AnalysisNode(
+        "doc_device",
+        lambda s, r: customization.doc_device_all(s.dataset)),
+    AnalysisNode(
+        "heterogeneity",
+        lambda s, r: customization.top_vendor_heterogeneity(s.dataset)),
+    AnalysisNode(
+        "vulnerability",
+        lambda s, r: security.vulnerability_report(s.dataset)),
+    AnalysisNode(
+        "jaccard",
+        lambda s, r: sharing.vendor_similarity_pairs(s.dataset),
+        provides=("jaccard_pairs",)),
+    AnalysisNode(
+        "server_proxy",
+        lambda s, r: sharing.server_specific_fingerprints(s.dataset,
+                                                          s.corpus),
+        provides=("server_tie_fraction", "server_ties")),
+    AnalysisNode(
+        "semantics",
+        lambda s, r: semantics.semantic_summary(
+            semantics.semantic_fingerprinting(s.dataset, s.corpus)),
+        provides=("semantic_summary",)),
+    AnalysisNode(
+        "versions", lambda s, r: params.version_proposals(s.dataset)),
+    AnalysisNode(
+        "fallback", lambda s, r: params.fallback_scsv_usage(s.dataset)),
+    AnalysisNode(
+        "ocsp", lambda s, r: params.ocsp_usage(s.dataset)),
+    AnalysisNode(
+        "grease", lambda s, r: params.grease_usage(s.dataset)),
+    AnalysisNode(
+        "lowest_vulnerable_index",
+        lambda s, r: preferences.lowest_vulnerable_index(s.dataset)),
+    AnalysisNode(
+        "clean_vendors",
+        lambda s, r: preferences.vendors_without_vulnerable(s.dataset)),
+    AnalysisNode(
+        "preferred_components",
+        lambda s, r: preferences.preferred_components(s.dataset)),
+    AnalysisNode("ml_attribution", _ml_attribution),
 )
 
 #: Section 5 + Appendix C (server-side) analyses.  ``survey`` is itself
-#: a node: validation runs once and everything downstream depends on it.
+#: a node: validation runs once and every later node reads its result.
 SERVER_ANALYSES = (
-    AnalysisSpec(
-        "probe_stats", inputs=("certificates",),
-        fn=lambda r: (r["certificates"].stats.to_json()
-                      if r["certificates"].stats is not None else None)),
-    AnalysisSpec(
-        "issuers", inputs=("dataset", "certificates", "ecosystem"),
-        fn=lambda r: issuers.issuer_report(r["dataset"],
-                                           r["certificates"],
-                                           r["ecosystem"])),
-    AnalysisSpec(
-        "survey", inputs=("certificates", "validator"),
+    AnalysisNode(
+        "probe_stats",
+        lambda s, r: (s.certificates.stats.to_json()
+                      if s.certificates.stats is not None else None)),
+    AnalysisNode(
+        "issuers",
+        lambda s, r: issuers.issuer_report(s.dataset, s.certificates,
+                                           s.ecosystem)),
+    AnalysisNode(
+        "survey",
+        lambda s, r: chains.validate_all(s.certificates, s.validator(),
+                                         at=PROBE_TIME),
         span="validate.chain",
-        fn=lambda r: chains.validate_all(r["certificates"],
-                                         r["validator"], at=PROBE_TIME),
         tally=lambda span, survey: span.incr("chains",
                                              len(survey.reports))),
-    AnalysisSpec(
+    AnalysisNode(
         "validation_failures",
-        inputs=("survey", "dataset", "ecosystem"),
-        fn=lambda r: chains.validation_failure_rows(
-            r["survey"], r["dataset"], r["ecosystem"])),
-    AnalysisSpec(
-        "private_issuers", inputs=("survey", "dataset", "ecosystem"),
-        provides=("private_issuer_rows",),
-        fn=lambda r: chains.private_issuer_rows(
-            r["survey"], r["dataset"], r["ecosystem"])),
-    AnalysisSpec(
-        "expired", inputs=("certificates", "dataset"),
-        fn=lambda r: chains.expired_rows(r["certificates"],
-                                         r["dataset"])),
-    AnalysisSpec(
+        lambda s, r: chains.validation_failure_rows(
+            r["survey"], s.dataset, s.ecosystem)),
+    AnalysisNode(
+        "private_issuers",
+        lambda s, r: chains.private_issuer_rows(
+            r["survey"], s.dataset, s.ecosystem),
+        provides=("private_issuer_rows",)),
+    AnalysisNode(
+        "expired",
+        lambda s, r: chains.expired_rows(s.certificates, s.dataset)),
+    AnalysisNode(
         "ct",
-        inputs=("dataset", "certificates", "survey", "ecosystem",
-                "ct_logs"),
-        fn=lambda r: ct_validity.ct_report(
-            r["dataset"], r["certificates"], r["survey"],
-            r["ecosystem"], r["ct_logs"])),
-    AnalysisSpec(
-        "netflix", inputs=("certificates", "ct_logs"),
-        fn=lambda r: ct_validity.netflix_rows(r["certificates"],
-                                              r["ct_logs"])),
-    AnalysisSpec(
-        "ct_private_figure", inputs=("survey", "ecosystem", "ct_logs"),
-        fn=lambda r: ct_validity.private_chain_ct_figure(
-            r["survey"], r["ecosystem"], r["ct_logs"])),
-    AnalysisSpec(
-        "slds", inputs=("dataset", "certificates"),
-        provides=("slds", "sld_stats"),
-        fn=lambda r: (lambda rows: (rows, slds.sld_statistics(rows)))(
-            slds.sld_rows(r["dataset"], r["certificates"]))),
-    AnalysisSpec(
-        "geo", inputs=("certificates",),
-        fn=lambda r: geo.geo_comparison(r["certificates"])),
-    AnalysisSpec(
-        "lab", inputs=("dataset", "certificates", "network"),
-        fn=lambda r: labcompare.lab_comparison(
-            r["dataset"], r["certificates"], r["network"])),
+        lambda s, r: ct_validity.ct_report(
+            s.dataset, s.certificates, r["survey"], s.ecosystem,
+            s.network.ct_logs)),
+    AnalysisNode(
+        "netflix",
+        lambda s, r: ct_validity.netflix_rows(s.certificates,
+                                              s.network.ct_logs)),
+    AnalysisNode(
+        "ct_private_figure",
+        lambda s, r: ct_validity.private_chain_ct_figure(
+            r["survey"], s.ecosystem, s.network.ct_logs)),
+    AnalysisNode(
+        "slds",
+        lambda s, r: (lambda rows: (rows, slds.sld_statistics(rows)))(
+            slds.sld_rows(s.dataset, s.certificates)),
+        provides=("slds", "sld_stats")),
+    AnalysisNode(
+        "geo", lambda s, r: geo.geo_comparison(s.certificates)),
+    AnalysisNode(
+        "lab",
+        lambda s, r: labcompare.lab_comparison(
+            s.dataset, s.certificates, s.network)),
 )
 
 
-def _scheduler(specs, side, study, store, node_observer=None):
-    if store is None:
-        store = getattr(study, "store", None)
-    return AnalysisScheduler(specs, side=side, store=store,
-                             config=study.config,
-                             node_observer=node_observer)
+def _run_side(side, nodes, study, node_observer):
+    """Run one registry in order; returns ``{result key: value}``."""
+    results = {}
+    with obs.span(f"analysis.{side}") as side_span:
+        for node in nodes:
+            stage = f"analysis.{side}.{node.name}"
 
+            def compute():
+                with obs.span(node.span or stage) as span:
+                    packed = node.fn(study, results)
+                    if node.tally is not None:
+                        node.tally(span, packed)
+                return packed
 
-def run_client_side(study, store=None, node_observer=None):
-    """Section 4 + Appendix B analyses.
-
-    ``store`` defaults to the study's attached artifact store (if any).
-    ``node_observer`` (see :class:`AnalysisScheduler`) lets the
-    conformance harness watch every node's packed result.
-    """
-    with obs.span("analysis.client") as side_span:
-        scheduler = _scheduler(CLIENT_ANALYSES, "client", study, store,
-                               node_observer)
-        results = scheduler.run({
-            "dataset": lambda: study.dataset,
-            "corpus": lambda: study.corpus,
-            "world": lambda: study.world,
-            "config": lambda: study.config,
-        })
+            packed = study.get_or_compute(stage, compute)
+            if node_observer is not None:
+                node_observer(stage, packed)
+            if len(node.provides) == 1:
+                results[node.provides[0]] = packed
+            else:
+                results.update(zip(node.provides, packed))
         side_span.incr("analyses", len(results))
     return results
 
 
-def run_server_side(study, store=None, node_observer=None):
-    """Section 5 + Appendix C analyses."""
-    with obs.span("analysis.server") as side_span:
-        scheduler = _scheduler(SERVER_ANALYSES, "server", study, store,
-                               node_observer)
-        results = scheduler.run({
-            "dataset": lambda: study.dataset,
-            "certificates": lambda: study.certificates,
-            "ecosystem": lambda: study.ecosystem,
-            "network": lambda: study.network,
-            "ct_logs": lambda: study.network.ct_logs,
-            "validator": lambda: study.validator(),
-        })
-        side_span.incr("analyses", len(results))
-    return results
+def run_client_side(study, node_observer=None):
+    """Section 4 + Appendix B analyses (``node_observer``: see
+    :func:`run_full_study`)."""
+    return _run_side("client", CLIENT_ANALYSES, study, node_observer)
 
 
-def run_full_study(study, jobs=None, store=None, node_observer=None):
+def run_server_side(study, node_observer=None):
+    """Section 5 + Appendix C analyses (``node_observer``: see
+    :func:`run_full_study`)."""
+    return _run_side("server", SERVER_ANALYSES, study, node_observer)
+
+
+def run_full_study(study, jobs=None, node_observer=None):
     """Everything, in paper order.
 
+    ``node_observer(stage, packed)``, when given, hears every node's
+    packed value exactly once, computed or read from the store; the
+    conformance harness collects its per-node digests this way.
     ``jobs`` is accepted and ignored: perfbench's report-cold workload
     still passes ``jobs=1``.
     """
     with obs.span("analysis.full_study"):
         return {
-            "client": run_client_side(study, store=store,
-                                      node_observer=node_observer),
-            "server": run_server_side(study, store=store,
-                                      node_observer=node_observer),
+            "client": run_client_side(study, node_observer=node_observer),
+            "server": run_server_side(study, node_observer=node_observer),
         }
 
 
 def analysis_stage_names():
-    """Every scheduler stage name, in registry (paper) order.
+    """Every analysis stage name, in registry (paper) order.
 
     The conformance harness orders baseline nodes and equivalence
     reports by this sequence, so "first divergent node" always means
     first in paper order, not first alphabetically.
     """
-    return tuple([f"analysis.client.{spec.name}"
-                  for spec in CLIENT_ANALYSES]
-                 + [f"analysis.server.{spec.name}"
-                    for spec in SERVER_ANALYSES])
+    return tuple([f"analysis.client.{node.name}"
+                  for node in CLIENT_ANALYSES]
+                 + [f"analysis.server.{node.name}"
+                    for node in SERVER_ANALYSES])

@@ -36,10 +36,9 @@ from repro.ml.pipeline import (AttributionModel, DEFAULT_ITERS,
                                DEFAULT_TEST_FRACTION,
                                DEFAULT_THRESHOLD, MLParams,
                                canonical_report_text, eval_digest,
-                               evaluate_capture, evaluate_components,
-                               evaluate_model, evaluate_study,
-                               render_eval, train_attribution,
-                               train_study)
+                               evaluate_capture, evaluate_model,
+                               evaluate_study, render_eval,
+                               train_attribution, train_study)
 
 __all__ = [
     "AttributionModel", "DEFAULT_ITERS", "DEFAULT_ML_BASELINE",
@@ -47,8 +46,7 @@ __all__ = [
     "FeatureExtractor", "LabeledExample", "LogisticOVR", "MLParams",
     "MultinomialNB", "TARGETS", "canonical_report_text",
     "check_ml_baseline", "eval_digest", "evaluate_capture",
-    "evaluate_components", "evaluate_model", "evaluate_study",
-    "feature_seed",
+    "evaluate_model", "evaluate_study", "feature_seed",
     "fingerprint_tokens", "labeled_examples", "load_ml_baseline",
     "record_ml_baseline", "render_eval", "stratified_split",
     "train_attribution", "train_study",

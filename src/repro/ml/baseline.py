@@ -14,10 +14,8 @@ import json
 
 from repro.ml.pipeline import eval_digest
 from repro.schema import versioned
+from repro.verify.baseline import DEFAULT_ML_BASELINE
 from repro.verify.canonical import canonicalize, first_divergence
-
-#: where the committed eval-report baseline lives.
-DEFAULT_ML_BASELINE = "conformance/ml_baseline.json"
 
 
 def record_ml_baseline(payload, path=DEFAULT_ML_BASELINE):

@@ -21,7 +21,7 @@ config, MLParams)``:
 Every float in the eval payload is rounded to 9 decimals before the
 canonical digest, so ``repro verify ml`` can assert the digest against
 ``conformance/ml_baseline.json`` the same way the pipeline baseline
-works.  Results are memoized per ``(artifact_digest, params)`` — the
+works.  :func:`evaluate_study` memoizes per training-config digest — the
 analysis node, the figure exporter, and the CLI share one training run
 per process.
 """
@@ -420,22 +420,8 @@ def evaluate_capture(model, rows, threshold=None):
     })
 
 
-#: per-process memo: one training run per (artifact digest, params).
+#: per-process memo: one training run per training-config digest.
 _EVAL_MEMO = {}
-
-
-def evaluate_components(dataset, corpus, world, config, params=None):
-    """Train + eval in one call, memoized per training-config digest."""
-    params = params or MLParams()
-    key = (training_config(config).artifact_digest(), params)
-    cached = _EVAL_MEMO.get(key)
-    if cached is not None:
-        return cached
-    model = train_attribution(dataset, corpus, world, config,
-                              params=params)
-    payload = evaluate_model(model, dataset, corpus, world, config)
-    _EVAL_MEMO[key] = payload
-    return payload
 
 
 def train_study(study, params=None):
@@ -444,11 +430,21 @@ def train_study(study, params=None):
                              study.config, params=params)
 
 
-def evaluate_study(study, params=None):
-    """Convenience wrapper: memoized train + eval on a study."""
-    return evaluate_components(study.dataset, study.corpus,
-                               study.world, study.config,
-                               params=params)
+def evaluate_study(study):
+    """Train + eval on a study, memoized per training-config digest.
+
+    The ``ml_attribution`` analysis node, the figure exporter, the CLI
+    and sweep units share one training run per process.
+    """
+    key = training_config(study.config).artifact_digest()
+    payload = _EVAL_MEMO.get(key)
+    if payload is None:
+        dataset, corpus, world = study.dataset, study.corpus, study.world
+        model = train_attribution(dataset, corpus, world, study.config)
+        payload = evaluate_model(model, dataset, corpus, world,
+                                 study.config)
+        _EVAL_MEMO[key] = payload
+    return payload
 
 
 def eval_digest(payload):

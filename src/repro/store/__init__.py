@@ -1,4 +1,4 @@
-"""``repro.store`` — persistent artifacts and the analysis scheduler.
+"""``repro.store`` — persistent artifacts and campaign ledgers.
 
 Large-scan pipelines (ZMap-style measurement, the DoH-IoT capture →
 analyze split) never recompute an expensive artifact twice: the scan is
@@ -13,11 +13,10 @@ reproduction the same shape:
   any later command with an equivalent config, so a warm ``repro
   report`` after ``repro probe`` is near-instant.  Entries carry a
   payload checksum; corruption, partial writes, and version mismatches
-  all degrade to a cache miss, never to wrong bytes.
-- :class:`~repro.store.scheduler.AnalysisScheduler` — executes a
-  declarative registry of :class:`~repro.store.scheduler.AnalysisSpec`
-  nodes in their declaration order, which follows the dependencies, and
-  every node transparently consults the store before computing.
+  all degrade to a cache miss, never to wrong bytes.  A
+  :class:`~repro.study.Study` with a store attached reads and writes
+  every artifact and analysis node through
+  :meth:`~repro.store.artifact.StoreBase.get_or_compute`.
 - :class:`~repro.store.campaign.CampaignIndex` — the atomic (temp file +
   rename, like ``.art`` entries) campaign-level ledger a multi-config
   sweep (:mod:`repro.sweep`) writes after every finished unit, so a
@@ -39,10 +38,9 @@ from repro.store.backend import http_spec, local_spec, store_from_spec
 from repro.store.campaign import CampaignIndex, campaign_id_for
 from repro.store.remote import BlobCache, RemoteArtifactStore, \
     StoreUnreachable
-from repro.store.scheduler import AnalysisScheduler, AnalysisSpec
 
-__all__ = ["MISS", "AnalysisScheduler", "AnalysisSpec", "ArtifactStore",
-           "BlobCache", "CampaignIndex", "RemoteArtifactStore",
-           "StoreUnreachable", "blob_key_of", "campaign_id_for",
-           "content_key", "decode_entry", "encode_entry", "http_spec",
-           "local_spec", "read_entry", "store_from_spec"]
+__all__ = ["MISS", "ArtifactStore", "BlobCache", "CampaignIndex",
+           "RemoteArtifactStore", "StoreUnreachable", "blob_key_of",
+           "campaign_id_for", "content_key", "decode_entry",
+           "encode_entry", "http_spec", "local_spec", "read_entry",
+           "store_from_spec"]

@@ -9,10 +9,11 @@ differ only in trust-store selection share them.
 
 A study may also carry a persistent
 :class:`~repro.store.artifact.ArtifactStore`
-(:meth:`Study.attach_store`): the capture, the library corpus and the
-certificate dataset are then read from / written to the cache, so a
-fresh process with a warm cache skips world generation, corpus
-building and probing entirely.
+(:meth:`Study.attach_store`): the capture, the library corpus, the
+certificate dataset and every analysis node (:mod:`repro.core.pipeline`)
+are then read from / written to the cache through
+:meth:`Study.get_or_compute`, so a fresh process with a warm cache skips
+world generation, corpus building and probing entirely.
 
 The constructor is config-first: pass a :class:`StudyConfig` (or
 nothing, for the default config).  Anything else — such as a bare seed,
@@ -28,7 +29,6 @@ from repro.inspector.generator import WorldGenerator
 from repro.libraries.corpus import build_default_corpus
 from repro.probing.engine import ProbeEngine
 from repro.probing.network import SimulatedNetwork
-from repro.store.artifact import MISS
 from repro.x509.validation import ChainValidator
 
 __all__ = ["DEFAULT_SEED", "Study", "StudyConfig", "get_study"]
@@ -47,6 +47,12 @@ def _network_for_seed(seed):
 @lru_cache(maxsize=1)
 def _shared_corpus():
     return build_default_corpus()
+
+
+#: the config the ``corpus`` stage is stored under, whatever the
+#: study's: the library corpus reads no config field, so one store
+#: entry serves every config.
+_CORPUS_CONFIG = StudyConfig()
 
 
 def _config_or_default(config, caller):
@@ -82,14 +88,18 @@ class Study:
         self.store = store
         return self
 
-    def _cached(self, stage):
-        if self.store is None:
-            return MISS
-        return self.store.get(self.config, stage)
+    def get_or_compute(self, stage, compute, config=None):
+        """The ``stage`` artifact: from the attached store, else computed.
 
-    def _store_put(self, stage, value):
-        if self.store is not None:
-            self.store.put(self.config, stage, value)
+        The one store-or-compute path of a study (the capture, the
+        corpus, the certificate dataset and every analysis node).  The
+        entry is keyed by ``config``, by default the study's own; with
+        no store attached this is just ``compute()``.
+        """
+        if self.store is None:
+            return compute()
+        return self.store.get_or_compute(
+            self.config if config is None else config, stage, compute)
 
     @property
     def world(self):
@@ -107,12 +117,10 @@ class Study:
         """
         if self._dataset is None:
             with obs.span("study.dataset") as span:
-                dataset = self._cached("capture")
-                if dataset is MISS:
-                    dataset = InspectorDataset.from_world(self.world)
-                    self._store_put("capture", dataset)
-                self._dataset = dataset
-                span.incr("records", len(dataset.records))
+                self._dataset = self.get_or_compute(
+                    "capture",
+                    lambda: InspectorDataset.from_world(self.world))
+                span.incr("records", len(self._dataset.records))
         return self._dataset
 
     @property
@@ -120,15 +128,13 @@ class Study:
         """The 6,891-entry known-library fingerprint corpus.
 
         Store-backed: with an attached artifact store, a cached corpus
-        is reused without rebuilding the library fingerprints.
+        is reused without rebuilding the library fingerprints.  Every
+        config shares one entry (see ``_CORPUS_CONFIG``).
         """
         if self._corpus is None:
             with obs.span("study.corpus"):
-                corpus = self._cached("corpus")
-                if corpus is MISS:
-                    corpus = _shared_corpus()
-                    self._store_put("corpus", corpus)
-                self._corpus = corpus
+                self._corpus = self.get_or_compute(
+                    "corpus", _shared_corpus, config=_CORPUS_CONFIG)
         return self._corpus
 
     @property
@@ -164,15 +170,14 @@ class Study:
         and latency sleeps change only wall-clock), so one ``certificates``
         entry serves them all.
         """
+        def probe():
+            snis = [spec.fqdn for spec in self.world.servers]
+            return make_engine(self.network).probe_all(snis)
+
         with obs.span("study.certificates") as span:
-            certificates = self._cached("certificates")
-            if certificates is MISS:
-                snis = [spec.fqdn for spec in self.world.servers]
-                certificates = make_engine(self.network).probe_all(snis)
-                self._store_put("certificates", certificates)
-            self._certificates = certificates
-            span.incr("snis", len(certificates))
-        return certificates
+            self._certificates = self.get_or_compute("certificates", probe)
+            span.incr("snis", len(self._certificates))
+        return self._certificates
 
     @property
     def trust_store(self):

@@ -36,6 +36,17 @@ from repro.verify.canonical import (canonicalize, digest,
 #: current baseline file schema version.
 BASELINE_FORMAT = 1
 
+#: the checkout's committed baselines, found from this file so the
+#: verify commands read them from any working directory.
+_CONFORMANCE_DIR = Path(__file__).resolve().parents[3] / "conformance"
+
+#: the golden baseline `repro verify check` compares against.
+DEFAULT_BASELINE = str(_CONFORMANCE_DIR / "baseline.json")
+
+#: the ML eval-report baseline `repro verify ml` checks (defined here,
+#: not in :mod:`repro.ml`, so the CLI can name it without numpy).
+DEFAULT_ML_BASELINE = str(_CONFORMANCE_DIR / "ml_baseline.json")
+
 #: nodes that are engine telemetry rather than study results: recorded
 #: for the curious, excluded from equality (wall-clock always differs).
 VOLATILE_NODES = frozenset({"analysis.server.probe_stats"})
@@ -46,14 +57,15 @@ VOLATILE_NODES = frozenset({"analysis.server.probe_stats"})
 SNAPSHOT_BYTE_LIMIT = 200_000
 
 
-def run_and_snapshot(study, store=None):
+def run_and_snapshot(study):
     """Run the full pipeline once; returns ``(results, snapshots)``.
 
     ``results`` is :func:`repro.core.pipeline.run_full_study`'s nested
     mapping (what the invariant checker consumes); ``snapshots`` maps
     node name to canonical tree in paper order: every analysis node
-    first (via the scheduler's ``node_observer``, so a store-backed run
-    snapshots cached results identically), then the derived artifacts:
+    first (via the pipeline's ``node_observer``, so a run against the
+    study's artifact store snapshots cached results identically), then
+    the derived artifacts:
 
     - ``artifact.capture`` — the anonymized ClientHello records
       (``repro generate``'s JSONL rows);
@@ -65,8 +77,7 @@ def run_and_snapshot(study, store=None):
     from repro.core.figures import figure_payloads
     from repro.core.report import render_report
     observed = {}
-    results = run_full_study(study, store=store,
-                             node_observer=observed.__setitem__)
+    results = run_full_study(study, node_observer=observed.__setitem__)
     snapshots = {}
     for stage in analysis_stage_names():
         snapshots[stage] = canonicalize(observed.pop(stage))
@@ -86,9 +97,9 @@ def run_and_snapshot(study, store=None):
     return results, snapshots
 
 
-def collect_snapshots(study, store=None):
+def collect_snapshots(study):
     """Just the ``{node name: canonical tree}`` half of a snapshot run."""
-    _results, snapshots = run_and_snapshot(study, store=store)
+    _results, snapshots = run_and_snapshot(study)
     return snapshots
 
 
@@ -102,7 +113,7 @@ def _node_entry(tree):
     return entry
 
 
-def record_baseline(study, path, store=None, snapshots=None):
+def record_baseline(study, path, snapshots=None):
     """Record the golden baseline for ``study``'s config at ``path``.
 
     Pass ``snapshots`` (from :func:`run_and_snapshot`) to reuse an
@@ -110,7 +121,7 @@ def record_baseline(study, path, store=None, snapshots=None):
     """
     from repro import __version__
     if snapshots is None:
-        snapshots = collect_snapshots(study, store=store)
+        snapshots = collect_snapshots(study)
     payload = {
         "format": BASELINE_FORMAT,
         "artifact_digest": study.config.artifact_digest(),
@@ -213,7 +224,7 @@ class CheckReport:
         }
 
 
-def check_baseline(study, path, store=None, snapshots=None):
+def check_baseline(study, path, snapshots=None):
     """Re-run the pipeline and compare against the baseline at ``path``.
 
     Pass ``snapshots`` (from :func:`run_and_snapshot`) to reuse an
@@ -245,7 +256,7 @@ def check_baseline(study, path, store=None, snapshots=None):
             f"versions, re-record to refresh the key")
     volatile = set(payload.get("volatile_nodes", ())) | VOLATILE_NODES
     if snapshots is None:
-        snapshots = collect_snapshots(study, store=store)
+        snapshots = collect_snapshots(study)
     baseline_nodes = payload.get("nodes", {})
     ordered = [name for name in snapshots if name in baseline_nodes]
     ordered += [name for name in baseline_nodes

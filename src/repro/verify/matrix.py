@@ -4,9 +4,9 @@ The repository's headline determinism claims — cold vs warm cache,
 any trust-store spelling, inline vs the fabric cluster — were each
 spot-checked in whichever test file introduced them.  The matrix
 enforces them *systematically*: it executes the full pipeline under a
-configurable grid of :class:`ExecutionMode`\\ s, has the
-:class:`AnalysisScheduler` report a canonical digest per analysis node
-in every mode, and asserts that all modes agree node-for-node.  A
+configurable grid of :class:`ExecutionMode`\\ s, has the pipeline's
+``node_observer`` report a canonical digest per analysis node in every
+mode, and asserts that all modes agree node-for-node.  A
 failure names the first pair of modes and the first analysis node
 (paper order) whose digests disagree — the starting point for
 bisecting a determinism regression.

@@ -262,6 +262,15 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "baseline not found" in err and "--record" in err
 
+    def test_verify_defaults_work_from_any_directory(self, tmp_path, study,
+                                                     monkeypatch, capsys):
+        from repro.cli import build_parser
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "ml"]) == 0
+        args = build_parser().parse_args(["verify", "check"])
+        assert pathlib.Path(args.baseline) == \
+            REPO_ROOT / "conformance" / "baseline.json"
+
 
 # ------------------------------------------------------- capture eval path
 

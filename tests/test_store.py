@@ -1,9 +1,9 @@
-"""Tests for the artifact store, the analysis scheduler, and caching CLI.
+"""Tests for the artifact store, the analysis loop, and caching CLI.
 
 Covers the ``repro.store`` contract: content-addressed round trips,
 corruption/partial-write recovery, version-mismatch invalidation,
-in-order scheduler execution, ``--no-cache`` bypass, and the probe →
-report CLI round trip reusing the certificate artifact.
+in-order execution of the analysis registries, ``--no-cache`` bypass,
+and the probe → report CLI round trip reusing the certificate artifact.
 """
 
 import json
@@ -12,12 +12,12 @@ from functools import lru_cache
 
 import pytest
 
+from repro import obs
 from repro.config import StudyConfig
 from repro.core import pipeline
 from repro.core.report import render_report
 from repro.obs.manifest import RunManifest, manifest_path_for
 from repro.store import MISS, ArtifactStore
-from repro.store.scheduler import AnalysisScheduler, AnalysisSpec
 from repro.study import Study, get_study
 
 
@@ -127,55 +127,78 @@ class TestArtifactStore:
         assert provenance["dir"] == str(store.root)
 
 
-class TestScheduler:
-    SPECS = (
-        AnalysisSpec("base", inputs=("x",), fn=lambda r: r["x"] + 1),
-        AnalysisSpec("double", inputs=("base",),
-                     fn=lambda r: r["base"] * 2),
-        AnalysisSpec("pair", inputs=("base", "double"),
-                     provides=("lo", "hi"),
-                     fn=lambda r: (r["base"], r["double"])),
-        AnalysisSpec("tail", inputs=("hi",), fn=lambda r: r["hi"] + 5),
+@pytest.fixture(scope="module")
+def filled_store(tmp_path_factory):
+    """A store one cold, traced full study on a fresh ``Study`` filled;
+    returns the store, the results and the run's tracer."""
+    store = ArtifactStore(tmp_path_factory.mktemp("pipeline") / "cache")
+    with obs.enabled() as ctx:
+        cold = pipeline.run_full_study(Study(StudyConfig(), store=store))
+    return store, cold, ctx.tracer
+
+
+class TestAnalysisLoop:
+    NODES = (
+        pipeline.AnalysisNode("base", lambda s, r: s.seed + 1),
+        pipeline.AnalysisNode("double", lambda s, r: r["base"] * 2),
+        pipeline.AnalysisNode("pair", lambda s, r: (r["base"], r["double"]),
+                              provides=("lo", "hi")),
+        pipeline.AnalysisNode("tail", lambda s, r: r["hi"] + 5),
     )
 
-    def test_serial_and_pooled_identical(self):
-        serial = AnalysisScheduler(self.SPECS, side="t").run({"x": 10})
-        assert list(serial) == ["base", "double", "lo", "hi", "tail"]
-        assert serial == {"base": 11, "double": 22, "lo": 11, "hi": 22,
-                          "tail": 27}
+    def test_registry_runs_in_declaration_order(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "CLIENT_ANALYSES", self.NODES)
+        observed = []
+        results = pipeline.run_client_side(
+            Study(StudyConfig(seed=10)),
+            node_observer=lambda stage, packed: observed.append(stage))
+        assert list(results) == ["base", "double", "lo", "hi", "tail"]
+        assert results == {"base": 11, "double": 22, "lo": 11, "hi": 22,
+                           "tail": 27}
+        assert observed == ["analysis.client.base",
+                            "analysis.client.double",
+                            "analysis.client.pair", "analysis.client.tail"]
 
-    def test_lazy_resources_untouched_when_cached(self, store, config):
-        touched = []
-        specs = (AnalysisSpec("node", inputs=("expensive",),
-                              fn=lambda r: r["expensive"] * 2),)
-        resources = {"expensive": lambda: touched.append(1) or 21}
-        scheduler = AnalysisScheduler(specs, side="t", store=store,
-                                      config=config)
-        assert scheduler.run(resources) == {"node": 42}
-        assert touched == [1]
-        # Warm: the cached node never resolves the expensive resource.
-        touched.clear()
-        assert scheduler.run(resources) == {"node": 42}
-        assert touched == []
+    def test_spans_keep_their_names_and_counters(self, filled_store):
+        _store, cold, tracer = filled_store
+        for stage in pipeline.analysis_stage_names():
+            expected = 0 if stage == "analysis.server.survey" else 1
+            assert len(tracer.find(stage)) == expected, stage
+        [chain] = tracer.find("validate.chain")
+        assert chain.counters == {
+            "chains": len(cold["server"]["survey"].reports)}
+        for side in ("client", "server"):
+            [side_span] = tracer.find(f"analysis.{side}")
+            assert side_span.counters == {"analyses": len(cold[side])}
 
-    def test_cycle_detected(self):
-        specs = (AnalysisSpec("a", inputs=("b",), fn=lambda r: 1),
-                 AnalysisSpec("b", inputs=("a",), fn=lambda r: 2))
-        with pytest.raises(ValueError, match="cycle"):
-            AnalysisScheduler(specs, side="t").run({})
+    def test_warm_run_builds_no_study_artifact(self, filled_store):
+        store, cold, _tracer = filled_store
+        warm_study = Study(StudyConfig(), store=store)
+        observed = []
+        warm = pipeline.run_full_study(
+            warm_study,
+            node_observer=lambda stage, packed: observed.append(stage))
+        assert observed == list(pipeline.analysis_stage_names())
+        for name in ("_world", "_network", "_dataset", "_corpus",
+                     "_certificates"):
+            assert getattr(warm_study, name) is None, name
+        assert render_report(warm, seed=2023, generated_at=0) == \
+            render_report(cold, seed=2023, generated_at=0)
 
-    def test_duplicate_provides_rejected(self):
-        specs = (AnalysisSpec("a", fn=lambda r: 1),
-                 AnalysisSpec("b", provides=("a",), fn=lambda r: 2))
-        with pytest.raises(ValueError, match="provided twice"):
-            AnalysisScheduler(specs, side="t")
+    def test_registries_have_unique_names_and_keys(self):
+        for nodes in (pipeline.CLIENT_ANALYSES, pipeline.SERVER_ANALYSES):
+            names = [node.name for node in nodes]
+            keys = [key for node in nodes for key in node.provides]
+            assert len(set(names)) == len(names)
+            assert len(set(keys)) == len(keys)
 
-    def test_node_error_propagates(self):
-        def boom(_r):
+    def test_node_error_propagates(self, monkeypatch):
+        def boom(_study, _results):
             raise RuntimeError("node failed")
-        specs = (AnalysisSpec("a", fn=boom),)
+        monkeypatch.setattr(pipeline, "CLIENT_ANALYSES",
+                            (pipeline.AnalysisNode("a", boom),))
         with pytest.raises(RuntimeError, match="node failed"):
-            AnalysisScheduler(specs, side="t").run({})
+            pipeline.run_client_side(Study(StudyConfig()))
 
 
 class TestPipelineDeterminism:
@@ -188,25 +211,24 @@ class TestPipelineDeterminism:
         return results, render_report(results, seed=study.seed,
                                       generated_at=0)
 
-    def test_cold_then_warm_cache_match_serial(self, tmp_path, study,
-                                               reference):
+    def test_cold_then_warm_cache_match_serial(self, filled_store,
+                                               study, reference):
         _results, reference_text = reference
-        store = ArtifactStore(tmp_path / "cache")
-        cold = pipeline.run_full_study(study, store=store)
+        store, cold, _tracer = filled_store
         assert render_report(cold, seed=study.seed,
                              generated_at=0) == reference_text
         assert store.written_stages  # cold run populated the cache
-        warm = pipeline.run_full_study(study, store=store)
+        warm = pipeline.run_full_study(Study(StudyConfig(), store=store))
         assert render_report(warm, seed=study.seed,
                              generated_at=0) == reference_text
         assert len(store.hit_stages) >= len(pipeline.CLIENT_ANALYSES)
 
     def test_registry_covers_serial_result_keys(self, reference):
         results, _text = reference
-        client_keys = [key for spec in pipeline.CLIENT_ANALYSES
-                       for key in spec.provides]
-        server_keys = [key for spec in pipeline.SERVER_ANALYSES
-                       for key in spec.provides]
+        client_keys = [key for node in pipeline.CLIENT_ANALYSES
+                       for key in node.provides]
+        server_keys = [key for node in pipeline.SERVER_ANALYSES
+                       for key in node.provides]
         assert list(results["client"]) == client_keys
         assert list(results["server"]) == server_keys
 
@@ -231,6 +253,16 @@ class TestStoreBackedStudy:
         fresh = Study(StudyConfig(), store=store)
         assert len(fresh.dataset.records) == len(dataset.records)
         assert fresh.dataset.records[0] == dataset.records[0]
+
+    def test_corpus_stored_once_for_every_config(self, tmp_path):
+        store = ArtifactStore(tmp_path / "cache")
+        first = Study(StudyConfig(), store=store).corpus
+        second = Study(StudyConfig(seed=7, trust_stores=("mozilla",)),
+                       store=store).corpus
+        assert len(second) == len(first)
+        assert store.stats()["by_stage"]["corpus"] == 1
+        assert store.miss_stages == ["corpus"]
+        assert store.hit_stages == ["corpus"]
 
 
 @pytest.fixture
