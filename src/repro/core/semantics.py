@@ -99,6 +99,30 @@ def _suite_jaccard(a, b):
     return len(set_a & set_b) / len(set_a | set_b)
 
 
+def _frozen(sets):
+    return tuple(frozenset(s) for s in sets)
+
+
+#: (category, key of a GREASE/SCSV-free suite list), closest first.
+_INDEXED = (
+    ("exact", tuple),
+    ("same_set_diff_order", frozenset),
+    ("same_component", lambda real: _frozen(_component_sets(real))),
+    ("similar_component",
+     lambda real: _frozen(_similar_component_sets(real))),
+)
+
+
+def _library_index(corpus):
+    """Per category: key -> the first library list with that key."""
+    index = {category: {} for category, _key in _INDEXED}
+    for suites, library in corpus.ciphersuite_lists().items():
+        real = _real_suites(suites)
+        for category, key in _INDEXED:
+            index[category].setdefault(key(real), library)
+    return index
+
+
 def semantic_fingerprinting(dataset, corpus):
     """Run the Appendix B.2 analysis over all {device, suite list} tuples.
 
@@ -106,48 +130,17 @@ def semantic_fingerprinting(dataset, corpus):
     category (then highest suite Jaccard).  Returns the list of
     :class:`SemanticMatch`.
     """
-    library_lists = corpus.ciphersuite_lists()
-    vendor_of = {}
-    tuples = set()
-    for record in dataset.records:
-        tuples.add((record.device_id, tuple(record.ciphersuites)))
-        vendor_of[record.device_id] = record.vendor
-    # Pre-index libraries for the cheap categories.
-    by_exact = {}
-    by_set = {}
-    by_component = {}
-    by_similar = {}
-    for suites, library in library_lists.items():
-        real = _real_suites(suites)
-        by_exact.setdefault(real, library)
-        by_set.setdefault(frozenset(real), library)
-        component_key = tuple(frozenset(s) for s in _component_sets(real))
-        by_component.setdefault(component_key, library)
-        similar_key = tuple(frozenset(s)
-                            for s in _similar_component_sets(real))
-        by_similar.setdefault(similar_key, library)
+    tuples = dataset.ciphersuite_lists()
+    index = corpus.derived(_library_index)
 
     def closest(suites):
         real = _real_suites(suites)
-        library, category = None, "customization"
-        if real in by_exact:
-            library, category = by_exact[real], "exact"
-        elif frozenset(real) in by_set:
-            library, category = by_set[frozenset(real)], "same_set_diff_order"
-        else:
-            component_key = tuple(frozenset(s)
-                                  for s in _component_sets(real))
-            similar_key = tuple(frozenset(s)
-                                for s in _similar_component_sets(real))
-            if component_key in by_component:
-                library, category = by_component[component_key], \
-                    "same_component"
-            elif similar_key in by_similar:
-                library, category = by_similar[similar_key], \
-                    "similar_component"
-        jaccard_value = _suite_jaccard(
-            suites, library.ciphersuites) if library else 0.0
-        return category, library, jaccard_value
+        for category, key in _INDEXED:
+            library = index[category].get(key(real))
+            if library is not None:
+                return (category, library,
+                        _suite_jaccard(suites, library.ciphersuites))
+        return "customization", None, 0.0
 
     # Thousands of tuples hold under a thousand distinct suite lists:
     # classify each list once.
@@ -157,7 +150,7 @@ def semantic_fingerprinting(dataset, corpus):
     for device_id, suites in sorted(tuples):
         category, library, jaccard_value = verdicts[suites]
         results.append(SemanticMatch(
-            device_id=device_id, vendor=vendor_of[device_id],
+            device_id=device_id, vendor=dataset.device_vendor(device_id),
             ciphersuites=tuple(suites), category=category,
             library=library, jaccard=jaccard_value))
     return results

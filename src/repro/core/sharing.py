@@ -83,26 +83,25 @@ def server_specific_fingerprints(dataset, corpus=None):
     involving devices of multiple vendors and at least two devices
     (Table 5's filtering), aggregated per {SLD, fingerprint}.
     """
+    sld_of = {sni: second_level_domain(sni) for sni in dataset.snis()}
+    known = {fp for fp in dataset.fingerprints()
+             if corpus is not None and corpus.match(*fp) is not None}
     # For each (device, fp): the set of SLDs it was seen toward.
     slds_by_device_fp = defaultdict(set)
-    for record in dataset.records:
-        if record.sni:
-            slds_by_device_fp[(record.device_id, record.fingerprint())].add(
-                second_level_domain(record.sni))
+    for sni, sld in sld_of.items():
+        for device, fp in dataset.sni_device_fingerprints(sni):
+            slds_by_device_fp[(device, fp)].add(sld)
     tied_snis = set()
     # (sld, fp) -> (set of fqdns, set of devices)
     aggregates = defaultdict(lambda: (set(), set()))
-    total_snis = 0
-    for sni in dataset.snis():
-        total_snis += 1
-        sld = second_level_domain(sni)
+    for sni, sld in sld_of.items():
+        devices_by_fp = defaultdict(set)
+        for device, fp in dataset.sni_device_fingerprints(sni):
+            devices_by_fp[fp].add(device)
         for fp in dataset.sni_fingerprints(sni):
-            if corpus is not None and corpus.match(*fp) is not None:
+            if fp in known:
                 continue
-            devices = {d for d, f in dataset.sni_device_fingerprints(sni)
-                       if f == fp}
-            if not devices:
-                continue
+            devices = devices_by_fp[fp]
             # Server-specific: each such device uses fp only toward this
             # SLD, and multiple devices share the behaviour.
             if len(devices) >= 2 and all(
@@ -124,5 +123,5 @@ def server_specific_fingerprints(dataset, corpus=None):
             vulnerable_components=tuple(
                 fingerprint_vulnerable_components(fp))))
     ties.sort(key=lambda tie: (-tie.device_count, tie.sld))
-    fraction = len(tied_snis) / max(1, total_snis)
+    fraction = len(tied_snis) / max(1, len(sld_of))
     return fraction, ties

@@ -30,6 +30,17 @@ class LibraryCorpus:
         self._best_by_key = {key: max(entries, key=_version_rank)
                              for key, entries in self._by_key.items()}
 
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_derived"}
+
+    def derived(self, build):
+        """``build(self)``, computed once per corpus and never pickled."""
+        memo = self.__dict__.setdefault("_derived", {})
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
+
     def __len__(self):
         return len(self._fingerprints)
 

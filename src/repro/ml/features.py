@@ -121,13 +121,6 @@ class FeatureExtractor:
         self._index_memo[token] = column
         return column
 
-    def vector(self, fp):
-        """One fingerprint's hashed token-count vector."""
-        row = np.zeros(self.width, dtype=np.float64)
-        for token in fingerprint_tokens(fp):
-            row[self.index(token)] += 1.0
-        return row
-
     def matrix(self, fps):
         """The ``(len(fps), width)`` float64 design matrix."""
         X = np.zeros((len(fps), self.width), dtype=np.float64)

@@ -12,9 +12,11 @@ Two models, both bit-reproducible for a given design matrix:
 
 Determinism hygiene shared by both: fitted parameters are rounded to
 :data:`ROUND_DECIMALS` decimals (well above float64 noise, well below
-any decision margin), and predictions argmax over *rounded* scores, so
-a last-ulp BLAS difference between platforms cannot flip a label.
-Serialized models are plain JSON and round-trip exactly.
+any decision margin), and predictions argmax over *rounded* scores.
+That absorbs last-ulp BLAS differences for the 5-class family target;
+for the 58-class vendor target fixed-step descent amplifies them past
+any rounding, so it is reproducible only for one BLAS build and thread
+count (DESIGN §5l).  Serialized models are JSON and round-trip exactly.
 """
 
 import numpy as np
@@ -73,13 +75,6 @@ class MultinomialNB:
     def predict(self, X):
         return np.argmax(self.scores(X), axis=1)
 
-    def proba(self, X):
-        """Softmax of the log-joint scores, rounded (rows sum to ~1)."""
-        scores = self.scores(X)
-        scores -= scores.max(axis=1, keepdims=True)
-        exp = np.exp(scores)
-        return _rounded(exp / exp.sum(axis=1, keepdims=True))
-
     def to_json(self):
         return {
             "alpha": self.alpha,
@@ -100,8 +95,10 @@ class LogisticOVR:
     """One-vs-rest logistic regression, fixed-step full-batch GD.
 
     Rows are L2-normalized internally (token-count magnitudes vary with
-    list length), a bias column is appended, and weights start at zero
-    — identical inputs always produce identical weights.
+    list length), the weights end in a bias column, and they start at
+    zero — identical inputs always produce identical weights.  The
+    descent runs in its dual form over the Gram matrix of the normalized
+    rows (DESIGN §5l): one K×n×n product per step, not two K×n×d ones.
     """
 
     def __init__(self, iters=2000, learning_rate=30.0, l2=1e-5):
@@ -113,31 +110,38 @@ class LogisticOVR:
         self.weights = None
 
     @staticmethod
-    def _design(X):
+    def _normalized(X):
         X = np.asarray(X, dtype=np.float64)
         norms = np.sqrt((X * X).sum(axis=1, keepdims=True))
-        X = X / np.maximum(norms, 1e-12)
-        return np.hstack([X, np.ones((X.shape[0], 1))])
+        return X / np.maximum(norms, 1e-12)
 
     def fit(self, X, y, n_classes):
-        Xb = self._design(X)
+        Xn = self._normalized(X)
         y = np.asarray(y, dtype=np.int64)
-        n, d = Xb.shape
-        targets = np.zeros((n, n_classes), dtype=np.float64)
-        targets[np.arange(n), y] = 1.0
-        weights = np.zeros((n_classes, d), dtype=np.float64)
-        penalty = np.ones((n_classes, d), dtype=np.float64) * self.l2
-        penalty[:, -1] = 0.0  # never regularize the bias column
+        n = Xn.shape[0]
+        targets = np.zeros((n_classes, n), dtype=np.float64)
+        targets[y, np.arange(n)] = 1.0
+        coef = np.zeros((n_classes, n), dtype=np.float64)
+        bias = np.zeros((n_classes, 1), dtype=np.float64)
+        shrink = 1.0 - self.learning_rate * self.l2  # never the bias
+        step = self.learning_rate / n
+        # Made after and freed before every longer-lived array, so later
+        # allocations can reuse its n×n block (peak RSS).
+        gram = Xn @ Xn.T
         for _ in range(self.iters):
-            probs = _sigmoid(Xb @ weights.T)
-            grad = (probs - targets).T @ Xb / n + penalty * weights
-            weights -= self.learning_rate * grad
-        self.weights = _rounded(weights)
+            residual = _sigmoid(coef @ gram + bias) - targets
+            coef *= shrink
+            coef -= step * residual
+            bias -= step * residual.sum(axis=1, keepdims=True)
+        del gram, residual
+        self.weights = _rounded(np.hstack([coef @ Xn, bias]))
         return self
 
     def scores(self, X):
         """Per-class sigmoid scores in [0, 1], rounded."""
-        return _rounded(_sigmoid(self._design(X) @ self.weights.T))
+        Xn = self._normalized(X)
+        Xb = np.hstack([Xn, np.ones((Xn.shape[0], 1))])
+        return _rounded(_sigmoid(Xb @ self.weights.T))
 
     def predict(self, X):
         return np.argmax(self.scores(X), axis=1)

@@ -1,10 +1,18 @@
 """Unit tests for sharing (Jaccard / server ties) and semantic matching."""
 
+import pickle
+from collections import defaultdict
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import semantics, sharing
+from repro.core.security import fingerprint_vulnerable_components
 from repro.inspector.dataset import InspectorDataset
+from repro.libraries import LibraryCorpus, openssl
 from repro.match import set_jaccard
+from repro.x509.names import second_level_domain
 from tests.conftest import make_record
 
 
@@ -97,6 +105,78 @@ class TestServerTies:
         slds = {tie.sld for tie in ties}
         assert "roku.com" in slds
         assert "sonos.com" in slds
+
+
+def _server_specific_fingerprints_per_record(dataset, corpus=None):
+    """Table 5 with an SLD per record and a device rescan per pair."""
+    slds_by_device_fp = defaultdict(set)
+    for record in dataset.records:
+        if record.sni:
+            slds_by_device_fp[(record.device_id, record.fingerprint())].add(
+                second_level_domain(record.sni))
+    tied_snis = set()
+    aggregates = defaultdict(lambda: (set(), set()))
+    snis = dataset.snis()
+    for sni in snis:
+        sld = second_level_domain(sni)
+        for fp in dataset.sni_fingerprints(sni):
+            if corpus is not None and corpus.match(*fp) is not None:
+                continue
+            devices = {d for d, f in dataset.sni_device_fingerprints(sni)
+                       if f == fp}
+            if len(devices) >= 2 and all(
+                    slds_by_device_fp[(d, fp)] == {sld} for d in devices):
+                tied_snis.add(sni)
+                fqdns, all_devices = aggregates[(sld, fp)]
+                fqdns.add(sni)
+                all_devices.update(devices)
+    ties = []
+    for (sld, fp), (fqdns, devices) in aggregates.items():
+        vendors = tuple(sorted({dataset.device_vendor(d) for d in devices}))
+        if len(devices) < 2 or len(vendors) < 2:
+            continue
+        ties.append(sharing.ServerFingerprintTie(
+            sld=sld, fingerprint=fp, fqdn_count=len(fqdns),
+            device_count=len(devices), vendors=vendors,
+            vulnerable_components=tuple(
+                fingerprint_vulnerable_components(fp))))
+    ties.sort(key=lambda tie: (-tie.device_count, tie.sld))
+    return len(tied_snis) / max(1, len(snis)), ties
+
+
+_LIBRARY = openssl.fingerprint_for("1.0.2u")
+_STACKS = (
+    dict(suites=(0x0035,), extensions=(0, 10)),
+    dict(suites=(0xC02F, 0x000A), extensions=(0, 10)),
+    dict(suites=(0xC02B, 0xC02F), extensions=(0, 10, 16)),
+    dict(version=_LIBRARY.tls_version, suites=_LIBRARY.ciphersuites,
+         extensions=_LIBRARY.extensions),
+)
+_SNIS = ("a.one.example", "b.one.example", "c.two.example",
+         "api.pavv.co.kr", "cdn.pavv.co.kr", "")
+
+
+class TestServerTiesPerSniEqualsPerRecord:
+    def test_study_dataset(self, dataset, corpus):
+        assert sharing.server_specific_fingerprints(dataset, corpus) == \
+            _server_specific_fingerprints_per_record(dataset, corpus)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(vendor_of=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+           rows=st.lists(st.tuples(st.integers(0, 5),
+                                   st.integers(0, len(_STACKS) - 1),
+                                   st.integers(0, len(_SNIS) - 1)),
+                         max_size=40),
+           with_corpus=st.booleans())
+    def test_small_datasets(self, vendor_of, rows, with_corpus):
+        dataset = InspectorDataset([
+            make_record(device=f"d{device}", vendor=f"V{vendor_of[device]}",
+                        sni=_SNIS[sni], **_STACKS[stack])
+            for device, stack, sni in rows])
+        corpus = LibraryCorpus([_LIBRARY]) if with_corpus else None
+        assert sharing.server_specific_fingerprints(dataset, corpus) == \
+            _server_specific_fingerprints_per_record(dataset, corpus)
 
 
 class TestSemanticClassification:
@@ -215,3 +295,26 @@ class TestSemanticsPerListEqualsPerTuple:
     def test_study_dataset(self, dataset, corpus):
         assert semantics.semantic_fingerprinting(dataset, corpus) == \
             _semantic_fingerprinting_per_tuple(dataset, corpus)
+
+
+class TestSemanticsIndexOnCorpus:
+    def test_two_calls_derive_the_index_once(self, mini_dataset, corpus,
+                                             monkeypatch):
+        fresh = LibraryCorpus(list(corpus))
+        calls = []
+        lists = fresh.ciphersuite_lists
+        monkeypatch.setattr(fresh, "ciphersuite_lists",
+                            lambda: calls.append(1) or lists())
+        first = semantics.semantic_fingerprinting(mini_dataset, fresh)
+        assert semantics.semantic_fingerprinting(mini_dataset,
+                                                 fresh) == first
+        assert len(calls) == 1
+
+    def test_index_stays_out_of_the_pickled_corpus(self, mini_dataset,
+                                                   corpus):
+        fresh = LibraryCorpus(list(corpus))
+        before = pickle.dumps(fresh)
+        matches = semantics.semantic_fingerprinting(mini_dataset, fresh)
+        assert pickle.dumps(fresh) == before
+        assert semantics.semantic_fingerprinting(
+            mini_dataset, pickle.loads(before)) == matches
